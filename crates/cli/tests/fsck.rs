@@ -3,9 +3,9 @@
 //! stale lock is scanned, repaired, and re-scanned through the real
 //! binary, comparing full stdout at every step.
 
-use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
+use hdpm_core::test_support::TempDir;
 use hdpm_core::{CharacterizationConfig, ModelLibrary};
 use hdpm_netlist::{ModuleKind, ModuleSpec};
 
@@ -27,28 +27,6 @@ fn stderr(output: &Output) -> String {
     String::from_utf8_lossy(&output.stderr).into_owned()
 }
 
-/// A process-unique scratch root, removed on drop.
-struct TempRoot(PathBuf);
-
-impl TempRoot {
-    fn new() -> TempRoot {
-        let path = std::env::temp_dir().join(format!("hdpm_cli_fsck_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&path);
-        std::fs::create_dir(&path).expect("fresh scratch root");
-        TempRoot(path)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for TempRoot {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
 fn transcript(header_rows: &[(&str, &str, &str)], trailer: &[&str]) -> String {
     let mut text = format!("{:<20} {:<16} entry\n", "status", "action");
     for (status, action, name) in header_rows {
@@ -63,7 +41,7 @@ fn transcript(header_rows: &[(&str, &str, &str)], trailer: &[&str]) -> String {
 
 #[test]
 fn fsck_scan_repair_rescan_transcript() {
-    let root = TempRoot::new();
+    let root = TempDir::new("cli_fsck");
     let config = CharacterizationConfig::builder()
         .max_patterns(1500)
         .build()
@@ -188,7 +166,7 @@ fn fsck_rejects_missing_and_bogus_roots() {
     assert!(!out.status.success());
     assert!(stderr(&out).contains("is not a directory"));
 
-    let root = TempRoot::new();
+    let root = TempDir::new("cli_fsck");
     let out = hdpm(&["fsck", root.path().to_str().expect("utf8"), "--verbose"]);
     assert!(!out.status.success());
     assert!(stderr(&out).contains("unknown flag `--verbose`"));

@@ -547,12 +547,9 @@ impl PowerEngine {
     /// [`PowerEngine::estimate`] with per-stage timing recorded into
     /// `trace`: the fetch stages (see [`PowerEngine::fetch_traced`]) plus
     /// [`Stage::Estimate`] covering the distribution and interpolation
-    /// math.
-    ///
-    /// # Errors
-    ///
-    /// As for [`PowerEngine::estimate`].
-    pub fn estimate_traced(
+    /// math. Reached from outside through
+    /// [`PowerEngine::estimate_with_floor_traced`] at a `full` floor.
+    fn estimate_traced(
         &self,
         spec: ModuleSpec,
         dist: &HdDistribution,

@@ -78,8 +78,6 @@ pub use estimate::{
     accuracy, distribution_vs_average, evaluate, evaluate_batch, predict_trace, AccuracyReport,
     DistributionVsAverage, Estimator,
 };
-#[allow(deprecated)]
-pub use estimate::{evaluate_enhanced, evaluate_enhanced_batch, predict_trace_enhanced};
 pub use fidelity::{analytic_model, Fidelity, ANALYTIC_CONFIDENCE};
 pub use library::{CorruptArtifactPolicy, LibrarySource, ModelLibrary, DEFAULT_LOCK_TIMEOUT};
 pub use model::{EnhancedHdModel, HdModel, ZeroClustering};

@@ -9,8 +9,14 @@
 //!   order**, so one slow characterization no longer stalls the
 //!   pipelined requests behind it;
 //! * **v1** — the JSON-lines protocol of `hdpm serve`, byte-for-byte
-//!   compatible with its transcripts ([`protocol`] is the single source
-//!   of truth for both transports), replies in request order.
+//!   compatible with its transcripts, replies in request order.
+//!
+//! Both protocols are codecs around one request executor: [`protocol`]
+//! (v1) and [`wire`] (v2) turn bytes into the typed
+//! [`client::Request`] and the executor's typed answer back into bytes,
+//! while validation, the fidelity floor, the cluster ensure policy and
+//! the engine call happen once, for every transport — TCP v1, TCP v2
+//! and the stdio loop of `hdpm serve` ([`protocol::serve_lines`]).
 //!
 //! The [`Server`] is built for sustained load:
 //!
@@ -67,6 +73,7 @@ mod admin;
 pub mod client;
 mod cluster;
 mod config;
+mod exec;
 pub mod protocol;
 mod queue;
 mod reactor;

@@ -1,5 +1,5 @@
-//! The JSON-lines request/reply codec shared by `hdpm serve` (stdin) and
-//! `hdpm server` (TCP) — one source of truth for the wire format.
+//! The v1 JSON-lines codec, spoken by `hdpm serve` (stdin) and by
+//! `hdpm server` (TCP) on connections that do not negotiate v2.
 //!
 //! One request per line, one reply per line. Three operations:
 //!
@@ -9,7 +9,11 @@
 //!   into the cache and report where it came from;
 //! * `{"op":"stats"}` — the engine's counter snapshot.
 //!
-//! Every failure produces a structured reply
+//! This module only translates: a line decodes to a [`Request`],
+//! resolves to a typed [`client::Request`], runs through the shared
+//! executor (`crate::exec`, the same one the v2 frames reach), and the
+//! typed answer renders back to a line. Every failure produces a
+//! structured reply
 //! `{"ok":false,"error":{"kind":"<kind>","message":"<detail>"}}` and never
 //! tears the transport down; [`ErrorKind`] enumerates the kinds. Blank
 //! lines are skipped. The transcript in `docs/engine.md` is a golden
@@ -20,11 +24,13 @@ use std::io::{BufRead, Write};
 use std::sync::Arc;
 
 use hdpm_core::{Fidelity, PowerEngine};
-use hdpm_datamodel::{region_model, HdDistribution, WordModel};
-use hdpm_netlist::{ModuleKind, ModuleSpec};
+use hdpm_netlist::{ModuleKind, ModuleSpec, ModuleWidth};
 use hdpm_streams::{DataType, ALL_DATA_TYPES};
-use hdpm_telemetry::{Stage, TraceCtx};
+use hdpm_telemetry::TraceCtx;
 use serde::{Deserialize, Value};
+
+use crate::client;
+use crate::exec::{self, Answer, Core};
 
 /// Every module kind the protocol accepts, in `hdpm list` order.
 pub const ALL_MODULE_KINDS: [ModuleKind; 14] = ModuleKind::ALL;
@@ -74,26 +80,8 @@ pub struct Request {
     pub deadline_ms: Option<u64>,
     /// Minimum acceptable fidelity tier for `estimate` (`analytic`,
     /// `regressed` or `full`); absent = the transport's default floor
-    /// (`full` on stdin, the `--fidelity-floor` flag on the TCP server).
+    /// (the `--fidelity-floor` flag of `hdpm serve` / `hdpm server`).
     pub fidelity_floor: Option<String>,
-}
-
-/// Resolve a request's effective fidelity floor against the transport
-/// default.
-///
-/// # Errors
-///
-/// [`ErrorKind::BadRequest`] naming an unknown floor spelling.
-pub fn effective_floor(request: &Request, default: Fidelity) -> Result<Fidelity, RequestError> {
-    match request.fidelity_floor.as_deref() {
-        None => Ok(default),
-        Some(text) => Fidelity::parse(text).ok_or_else(|| {
-            (
-                ErrorKind::BadRequest,
-                format!("unknown fidelity floor `{text}` (expected analytic, regressed or full)"),
-            )
-        }),
-    }
 }
 
 /// Classification of a failed request, carried on the wire as
@@ -215,54 +203,31 @@ pub fn decode(raw: &[u8]) -> Result<Option<Request>, RequestError> {
         .map_err(|e| (ErrorKind::Malformed, format!("malformed request: {e}")))
 }
 
-/// Execute a decoded request against the engine.
+/// Execute a decoded request against the engine at a `full` default
+/// floor, with no cluster and no tracing.
 ///
 /// # Errors
 ///
 /// [`ErrorKind::BadRequest`] for unresolvable request fields,
 /// [`ErrorKind::Engine`] for engine failures.
 pub fn handle(engine: &Arc<PowerEngine>, request: &Request) -> Result<Value, RequestError> {
-    handle_traced(engine, request, &mut TraceCtx::disabled())
+    respond(
+        &Core::local(Arc::clone(engine), Fidelity::Full),
+        request,
+        &mut TraceCtx::disabled(),
+    )
 }
 
-/// [`handle`] with per-stage timing recorded into `trace`: the engine
-/// stages (see `PowerEngine::fetch_traced`) plus the input-distribution
-/// fit, attributed to [`Stage::Estimate`].
-///
-/// # Errors
-///
-/// As for [`handle`].
-pub fn handle_traced(
-    engine: &Arc<PowerEngine>,
+/// Resolve a decoded request, run it through the executor, and render
+/// the answer: everything a v1 transport does after decoding (and, over
+/// TCP, after the deadline check).
+pub(crate) fn respond(
+    core: &Core,
     request: &Request,
     trace: &mut TraceCtx,
 ) -> Result<Value, RequestError> {
-    handle_traced_with_floor(engine, request, Fidelity::Full, trace)
-}
-
-/// [`handle_traced`] under a transport-level default fidelity floor
-/// (overridable per request via `fidelity_floor`). The TCP server passes
-/// its `--fidelity-floor`; the stdin transport always defaults to
-/// `full`, keeping its golden transcript semantics.
-///
-/// # Errors
-///
-/// As for [`handle`].
-pub fn handle_traced_with_floor(
-    engine: &Arc<PowerEngine>,
-    request: &Request,
-    default_floor: Fidelity,
-    trace: &mut TraceCtx,
-) -> Result<Value, RequestError> {
-    match request.op.as_str() {
-        "estimate" => op_estimate(engine, request, default_floor, trace),
-        "characterize" => op_characterize(engine, request, trace),
-        "stats" => Ok(op_stats(engine)),
-        other => Err((
-            ErrorKind::BadRequest,
-            format!("unknown op `{other}` (expected estimate, characterize or stats)"),
-        )),
-    }
+    let request = resolve(request)?;
+    exec::execute(core, request, trace).map(|answer| answer_value(&answer))
 }
 
 /// A short human-readable handle on what a request asked for, used in
@@ -279,78 +244,39 @@ pub fn request_detail(request: &Request) -> String {
     }
 }
 
-/// Decode and execute one raw line, rendering the reply. Returns `None`
-/// for blank lines. This is the single entry point both transports call.
-pub fn handle_line(engine: &Arc<PowerEngine>, raw: &[u8]) -> Option<String> {
-    handle_line_with_floor(engine, raw, Fidelity::Full)
-}
-
-/// [`handle_line`] under a transport-level default fidelity floor.
-pub fn handle_line_with_floor(
-    engine: &Arc<PowerEngine>,
-    raw: &[u8],
-    default_floor: Fidelity,
-) -> Option<String> {
-    let reply = match decode(raw) {
-        Ok(None) => return None,
-        Ok(Some(request)) => {
-            match handle_traced_with_floor(
-                engine,
-                &request,
-                default_floor,
-                &mut TraceCtx::disabled(),
-            ) {
-                Ok(reply) => reply,
-                Err((kind, message)) => error_value(kind, &message),
-            }
-        }
-        Err((kind, message)) => error_value(kind, &message),
-    };
-    Some(render(&reply))
-}
-
 /// The request/reply loop over byte streams: `hdpm serve`'s engine room,
 /// also driven in-memory by tests and the golden-transcript replay.
-/// Reads raw bytes (not [`BufRead::lines`]) so invalid UTF-8 yields a
-/// structured reply instead of an `io::Error` that would end the loop.
-/// The default fidelity floor is `full`, preserving the golden
-/// transcript; [`serve_lines_with_floor`] lowers it.
+/// Estimates that name no `fidelity_floor` are served at
+/// `default_floor` (`full` keeps the golden transcript). Reads raw bytes
+/// (not [`BufRead::lines`]) so invalid UTF-8 yields a structured reply
+/// instead of an `io::Error` that would end the loop.
 ///
 /// # Errors
 ///
 /// Only transport failures (reading input, writing output) end the loop.
 pub fn serve_lines<R: BufRead, W: Write>(
     engine: &Arc<PowerEngine>,
-    input: R,
-    output: W,
-) -> std::io::Result<()> {
-    serve_lines_with_floor(engine, Fidelity::Full, input, output)
-}
-
-/// [`serve_lines`] with a transport-level default fidelity floor — the
-/// engine room of `hdpm serve --fidelity-floor`.
-///
-/// # Errors
-///
-/// Only transport failures (reading input, writing output) end the loop.
-pub fn serve_lines_with_floor<R: BufRead, W: Write>(
-    engine: &Arc<PowerEngine>,
     default_floor: Fidelity,
     mut input: R,
     mut output: W,
 ) -> std::io::Result<()> {
     let _span = hdpm_telemetry::span("serve.loop");
+    let core = Core::local(Arc::clone(engine), default_floor);
     let mut raw = Vec::new();
     loop {
         raw.clear();
         if input.read_until(b'\n', &mut raw)? == 0 {
             return Ok(());
         }
-        if let Some(reply) = handle_line_with_floor(engine, trim_line(&raw), default_floor) {
-            output.write_all(reply.as_bytes())?;
-            output.write_all(b"\n")?;
-            output.flush()?;
-        }
+        let reply = match decode(trim_line(&raw)) {
+            Ok(None) => continue,
+            Ok(Some(request)) => respond(&core, &request, &mut TraceCtx::disabled()),
+            Err(e) => Err(e),
+        };
+        let reply = reply.unwrap_or_else(|(kind, message)| error_value(kind, &message));
+        output.write_all(render(&reply).as_bytes())?;
+        output.write_all(b"\n")?;
+        output.flush()?;
     }
 }
 
@@ -360,14 +286,43 @@ pub fn trim_line(raw: &[u8]) -> &[u8] {
     raw.strip_suffix(b"\r").unwrap_or(raw)
 }
 
-/// The module spec a request addresses, when its op has one and the
-/// fields resolve — the cluster ensure-model hook keys on this before
-/// the request reaches the engine. Unresolvable requests return `None`
-/// and fail later with their usual structured error.
-pub(crate) fn request_spec(request: &Request) -> Option<ModuleSpec> {
+/// Resolve a decoded line into the typed request the executor runs.
+/// Field errors surface in a fixed order — module, width, fidelity
+/// floor, data type — so a request with several bad fields gets the
+/// same reply it always has.
+fn resolve(request: &Request) -> Result<client::Request, RequestError> {
+    let bad = |message: String| (ErrorKind::BadRequest, message);
     match request.op.as_str() {
-        "estimate" | "characterize" => spec_of(request).ok(),
-        _ => None,
+        "estimate" => {
+            let spec = spec_of(request)?;
+            let floor = match request.fidelity_floor.as_deref() {
+                None => None,
+                Some(text) => Some(Fidelity::parse(text).ok_or_else(|| {
+                    bad(format!(
+                        "unknown fidelity floor `{text}` (expected analytic, regressed or full)"
+                    ))
+                })?),
+            };
+            let data = data_type(request.data.as_deref().unwrap_or("random")).map_err(bad)?;
+            Ok(client::Request::Estimate {
+                spec,
+                data,
+                // Saturating: anything past u32 is over the executor's
+                // cycles cap anyway, and is rejected there.
+                cycles: request
+                    .cycles
+                    .map_or(2000, |c| u32::try_from(c).unwrap_or(u32::MAX)),
+                seed: request.seed.unwrap_or(7),
+                floor,
+            })
+        }
+        "characterize" => Ok(client::Request::Characterize {
+            spec: spec_of(request)?,
+        }),
+        "stats" => Ok(client::Request::Stats),
+        other => Err(bad(format!(
+            "unknown op `{other}` (expected estimate, characterize or stats)"
+        ))),
     }
 }
 
@@ -382,185 +337,68 @@ fn spec_of(request: &Request) -> Result<ModuleSpec, RequestError> {
         .width
         .ok_or_else(|| bad("missing field `width`".into()))?;
     let width = match request.width2 {
-        Some(w2) => hdpm_netlist::ModuleWidth::Rect(width, w2),
-        None => hdpm_netlist::ModuleWidth::Uniform(width),
+        Some(w2) => ModuleWidth::Rect(width, w2),
+        None => ModuleWidth::Uniform(width),
     };
     Ok(ModuleSpec::new(kind, width))
 }
 
-fn engine_error(e: impl std::fmt::Display) -> RequestError {
-    (ErrorKind::Engine, e.to_string())
-}
-
-/// The analytic §6.3 input distribution: generate the named operand
-/// streams, fit per-operand region models, convolve. A pure function of
-/// its arguments, and ~100 µs of numeric fitting per call — so each
-/// serving thread memoizes it. Identical warm `estimate` requests (the
-/// common monitoring workload) then cost a lookup instead of a refit,
-/// which is what lets the TCP server clear its requests/sec bar.
-pub(crate) fn input_distribution(
-    dt: DataType,
-    operands: usize,
-    m1: usize,
-    cycles: usize,
-    seed: u64,
-) -> HdDistribution {
-    use hdpm_telemetry as telemetry;
-    type DistKey = (&'static str, usize, usize, usize, u64);
-    struct DistCache {
-        tick: u64,
-        map: std::collections::HashMap<DistKey, (u64, HdDistribution)>,
-    }
-    thread_local! {
-        static DISTRIBUTIONS: std::cell::RefCell<DistCache> = std::cell::RefCell::new(DistCache {
-            tick: 0,
-            map: std::collections::HashMap::new(),
-        });
-    }
-    let key = (dt.name(), operands, m1, cycles, seed);
-    DISTRIBUTIONS.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        cache.tick += 1;
-        let tick = cache.tick;
-        if let Some((last_used, dist)) = cache.map.get_mut(&key) {
-            *last_used = tick;
-            telemetry::counter_add("protocol.dist_cache.hit", 1);
-            return dist.clone();
+/// Render an executor answer as its v1 reply value.
+fn answer_value(answer: &Answer) -> Value {
+    let text = |s: &str| Value::Str(s.into());
+    let int = |n: u64| Value::Int(n as i64);
+    // Sized for the widest reply (stats: 14 fields).
+    let mut fields: Vec<(String, Value)> = Vec::with_capacity(14);
+    let mut add = |key: &str, value: Value| fields.push((key.into(), value));
+    add("ok", Value::Bool(true));
+    match answer {
+        Answer::Estimate {
+            spec,
+            data,
+            estimate: e,
+        } => {
+            add("op", text("estimate"));
+            add("module", Value::Str(spec.to_string()));
+            add("data", Value::Str(data.to_string()));
+            add("charge_per_cycle", Value::Float(e.charge_per_cycle));
+            add("via_average", Value::Float(e.via_average));
+            add("average_hd", Value::Float(e.average_hd));
+            add("source", text(e.source.as_str()));
+            add("fidelity", text(e.fidelity.as_str()));
+            add("confidence", Value::Float(e.confidence));
         }
-        telemetry::counter_add("protocol.dist_cache.miss", 1);
-        let streams = dt.generate_operands(operands, m1, cycles, seed);
-        let dists: Vec<HdDistribution> = streams
-            .iter()
-            .map(|w| HdDistribution::from_regions(&region_model(&WordModel::from_words(w, m1))))
-            .collect();
-        let dist = HdDistribution::convolve_all(&dists);
-        // Bounded, one cold entry at a time: evicting the least recently
-        // used key keeps the warm working set intact when the 129th
-        // distinct key lands, instead of dropping the whole memo and
-        // refitting ~100 µs per entry on the next pass over it.
-        if cache.map.len() >= 128 {
-            if let Some(victim) = cache
-                .map
-                .iter()
-                .min_by_key(|(_, (last_used, _))| *last_used)
-                .map(|(k, _)| *k)
-            {
-                cache.map.remove(&victim);
-                telemetry::counter_add("protocol.dist_cache.evict", 1);
-            }
+        Answer::Characterize {
+            spec,
+            characterization: c,
+            source,
+        } => {
+            add("op", text("characterize"));
+            add("module", Value::Str(spec.to_string()));
+            add("input_bits", int(c.model.input_bits() as u64));
+            add("transitions", int(c.transitions as u64));
+            let converged = c.converged_after.map(|p| int(p as u64));
+            add("converged_after", converged.unwrap_or(Value::Null));
+            add("source", text(source.as_str()));
+            add("fidelity", text(Fidelity::Full.as_str()));
         }
-        cache.map.insert(key, (tick, dist.clone()));
-        dist
-    })
-}
-
-fn op_estimate(
-    engine: &Arc<PowerEngine>,
-    request: &Request,
-    default_floor: Fidelity,
-    trace: &mut TraceCtx,
-) -> Result<Value, RequestError> {
-    let spec = spec_of(request)?;
-    let floor = effective_floor(request, default_floor)?;
-    let dt = data_type(request.data.as_deref().unwrap_or("random"))
-        .map_err(|m| (ErrorKind::BadRequest, m))?;
-    let cycles = request.cycles.unwrap_or(2000);
-    let seed = request.seed.unwrap_or(7);
-
-    let (m1, _) = spec.width.operand_widths();
-    // The distribution fit is estimation math, so its time (≈100 µs on a
-    // per-thread memo miss) lands in the estimate stage.
-    let dist = trace.time(Stage::Estimate, || {
-        input_distribution(dt, spec.kind.operand_count(), m1, cycles, seed)
-    });
-
-    let estimate = engine
-        .estimate_with_floor_traced(spec, &dist, floor, trace)
-        .map_err(engine_error)?;
-    Ok(Value::Object(vec![
-        ("ok".into(), Value::Bool(true)),
-        ("op".into(), Value::Str("estimate".into())),
-        ("module".into(), Value::Str(spec.to_string())),
-        ("data".into(), Value::Str(dt.to_string())),
-        (
-            "charge_per_cycle".into(),
-            Value::Float(estimate.charge_per_cycle),
-        ),
-        ("via_average".into(), Value::Float(estimate.via_average)),
-        ("average_hd".into(), Value::Float(estimate.average_hd)),
-        ("source".into(), Value::Str(estimate.source.as_str().into())),
-        (
-            "fidelity".into(),
-            Value::Str(estimate.fidelity.as_str().into()),
-        ),
-        ("confidence".into(), Value::Float(estimate.confidence)),
-    ]))
-}
-
-fn op_characterize(
-    engine: &Arc<PowerEngine>,
-    request: &Request,
-    trace: &mut TraceCtx,
-) -> Result<Value, RequestError> {
-    let spec = spec_of(request)?;
-    let (characterization, source) = engine.fetch_traced(spec, trace).map_err(engine_error)?;
-    Ok(Value::Object(vec![
-        ("ok".into(), Value::Bool(true)),
-        ("op".into(), Value::Str("characterize".into())),
-        ("module".into(), Value::Str(spec.to_string())),
-        (
-            "input_bits".into(),
-            Value::Int(characterization.model.input_bits() as i64),
-        ),
-        (
-            "transitions".into(),
-            Value::Int(characterization.transitions as i64),
-        ),
-        (
-            "converged_after".into(),
-            match characterization.converged_after {
-                Some(patterns) => Value::Int(patterns as i64),
-                None => Value::Null,
-            },
-        ),
-        ("source".into(), Value::Str(source.as_str().into())),
-        (
-            "fidelity".into(),
-            Value::Str(Fidelity::Full.as_str().into()),
-        ),
-    ]))
-}
-
-fn op_stats(engine: &Arc<PowerEngine>) -> Value {
-    let stats = engine.stats();
-    Value::Object(vec![
-        ("ok".into(), Value::Bool(true)),
-        ("op".into(), Value::Str("stats".into())),
-        ("entries".into(), Value::Int(stats.entries as i64)),
-        ("capacity".into(), Value::Int(stats.capacity as i64)),
-        ("hits".into(), Value::Int(stats.hits as i64)),
-        ("misses".into(), Value::Int(stats.misses as i64)),
-        ("evictions".into(), Value::Int(stats.evictions as i64)),
-        ("disk_hits".into(), Value::Int(stats.disk_hits as i64)),
-        (
-            "characterizations".into(),
-            Value::Int(stats.characterizations as i64),
-        ),
-        ("coalesced".into(), Value::Int(stats.coalesced as i64)),
-        ("inflight".into(), Value::Int(stats.inflight as i64)),
-        (
-            "analytic_served".into(),
-            Value::Int(stats.analytic_served as i64),
-        ),
-        (
-            "regressed_served".into(),
-            Value::Int(stats.regressed_served as i64),
-        ),
-        (
-            "upgrades_done".into(),
-            Value::Int(stats.upgrades_done as i64),
-        ),
-    ])
+        Answer::Stats(stats) => {
+            add("op", text("stats"));
+            add("entries", int(stats.entries as u64));
+            add("capacity", int(stats.capacity as u64));
+            add("hits", int(stats.hits));
+            add("misses", int(stats.misses));
+            add("evictions", int(stats.evictions));
+            add("disk_hits", int(stats.disk_hits));
+            add("characterizations", int(stats.characterizations));
+            add("coalesced", int(stats.coalesced));
+            add("inflight", int(stats.inflight as u64));
+            add("analytic_served", int(stats.analytic_served));
+            add("regressed_served", int(stats.regressed_served));
+            add("upgrades_done", int(stats.upgrades_done));
+        }
+        Answer::Pong => add("op", text("ping")),
+    }
+    Value::Object(fields)
 }
 
 #[cfg(test)]
@@ -604,7 +442,7 @@ mod tests {
 
     fn run(engine: &Arc<PowerEngine>, script: &[u8]) -> Vec<String> {
         let mut out = Vec::new();
-        serve_lines(engine, script, &mut out).unwrap();
+        serve_lines(engine, Fidelity::Full, script, &mut out).unwrap();
         String::from_utf8(out)
             .unwrap()
             .lines()

@@ -17,6 +17,16 @@
 //!   against the shared engine, so concurrent misses on one model still
 //!   coalesce through the engine's single-flight path.
 //!
+//! Workers run both protocols through the same executor (`crate::exec`,
+//! owned by [`Shared`] as its core): a v1 job decodes its line, checks
+//! the deadline and hands the resolved request over
+//! ([`protocol::respond`]); a v2 frame decodes its payload, checks the
+//! deadline and executes ([`exec_client_op`]). Only the v2 path keeps a
+//! per-thread reply memo in front of the executor, keyed by the raw
+//! estimate payload; the peer-only cluster opcodes (fetch-model,
+//! have-model, warm-keys) have no v1 spelling and are answered here
+//! directly.
+//!
 //! v1 replies on one connection are written in request order even
 //! though workers complete out of order (the per-connection sequencer
 //! lives in [`crate::reactor::ConnOut`]); v2 replies carry request ids
@@ -50,7 +60,6 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -66,7 +75,8 @@ use serde::{Serialize, Value};
 use crate::admin::AdminServer;
 use crate::cluster::{self, ClusterRuntime};
 use crate::config::ServerConfig;
-use crate::protocol::{self, ErrorKind};
+use crate::exec::{self, Answer, Core};
+use crate::protocol::{self, ErrorKind, RequestError};
 use crate::queue::{Bounded, PushError};
 use crate::reactor::{self, ConnOut, Mail, ReactorHandle};
 use crate::wire;
@@ -222,19 +232,11 @@ pub(crate) struct Reply {
     pub(crate) finish: Option<Box<TraceFinish>>,
 }
 
-/// Outcome of processing one v1 job, before the reply reaches the wire.
-struct Outcome {
-    line: String,
-    op: String,
-    detail: String,
-    status: String,
-}
-
 pub(crate) struct Shared {
-    engine: Arc<PowerEngine>,
-    /// Fidelity floor applied to estimate requests that don't name one
-    /// ([`ServerConfig::fidelity_floor`]).
-    default_floor: Fidelity,
+    /// What requests execute against: the engine, the default fidelity
+    /// floor ([`ServerConfig::fidelity_floor`]), the store root and, in
+    /// cluster mode, the ring, peer health, counters and ensure gate.
+    core: Core,
     queue: Bounded<Job>,
     draining: AtomicBool,
     /// Workers joined; reactors flush what remains and exit.
@@ -249,11 +251,6 @@ pub(crate) struct Shared {
     max_connections: usize,
     tracing: bool,
     slow_threshold: Duration,
-    /// The engine's disk tier root, probed by `/readyz`.
-    store_root: Option<PathBuf>,
-    /// Cluster mode, when configured: the ring, peer health, counters
-    /// and this node's ensure gate.
-    cluster: Option<ClusterRuntime>,
 }
 
 impl Shared {
@@ -281,12 +278,40 @@ impl Shared {
         self.connections.fetch_sub(1, Ordering::Relaxed);
     }
 
+    /// The deadline a request runs under: the tighter of the server's
+    /// and the request's own (which may tighten, never extend, it).
+    fn limit(&self, requested: Option<Duration>) -> Option<Duration> {
+        match (self.deadline, requested) {
+            (Some(server), Some(request)) => Some(server.min(request)),
+            (server, request) => server.or(request),
+        }
+    }
+
     /// A fresh trace context when tracing is on, an inert one otherwise.
     fn new_trace(&self) -> TraceCtx {
         if self.tracing {
             TraceCtx::new()
         } else {
             TraceCtx::disabled()
+        }
+    }
+
+    /// The bookkeeping that closes out `trace` once the reply handed to
+    /// the write side now is written (or abandoned).
+    fn trace_finish(
+        &self,
+        trace: TraceCtx,
+        op: String,
+        detail: String,
+        status: &str,
+    ) -> TraceFinish {
+        TraceFinish {
+            trace,
+            op,
+            detail,
+            status: status.to_string(),
+            slow_threshold: self.slow_threshold,
+            submitted_ns: telemetry::clock::now_ns(),
         }
     }
 
@@ -300,19 +325,10 @@ impl Shared {
         detail: String,
     ) -> Reply {
         let mut value = protocol::error_value(kind, message);
-        let finish = if trace.is_enabled() {
+        let finish = trace.is_enabled().then(|| {
             protocol::attach_trace(&mut value, &trace.id_string());
-            Some(Box::new(TraceFinish {
-                trace,
-                op: String::new(),
-                detail,
-                status: kind.as_str().to_string(),
-                slow_threshold: self.slow_threshold,
-                submitted_ns: telemetry::clock::now_ns(),
-            }))
-        } else {
-            None
-        };
+            Box::new(self.trace_finish(trace, String::new(), detail, kind.as_str()))
+        });
         Reply {
             line: protocol::render(&value),
             finish,
@@ -423,81 +439,55 @@ impl Shared {
         batch.out.finish_job();
     }
 
-    /// Execute one v1 job: decode, enforce the deadline, run the op,
-    /// render the reply (trace id attached when tracing). Returns `None`
-    /// when no output is owed (blank line). Per-stage timings accumulate
-    /// into the job's trace; `server.request_ns` keeps measuring
-    /// processing time only (decode → render), as before.
-    fn process_v1(&self, job: &mut V1Job, waited: Duration) -> Option<Outcome> {
+    /// Execute one v1 job: decode, enforce the deadline, resolve and
+    /// execute ([`protocol::respond`]), render the reply (trace id
+    /// attached when tracing). Returns `None` when no output is owed
+    /// (blank line). Per-stage timings accumulate into the job's trace;
+    /// `server.request_ns` keeps measuring processing time only (decode
+    /// → render), as before.
+    fn process_v1(&self, job: &mut V1Job, waited: Duration) -> Option<Reply> {
         let started = Instant::now();
         let trace = &mut job.trace;
         let decoded = trace.time(Stage::Decode, || {
             protocol::decode(protocol::trim_line(&job.raw))
         });
-        let request = match decoded {
-            Ok(Some(request)) => request,
+        let (op, detail, result) = match decoded {
             Ok(None) => return None,
-            Err((kind, message)) => {
-                self.totals.errors.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter_add("server.request.error", 1);
-                return Some(self.render_error(trace, started, kind, &message, String::new()));
+            Err(e) => (String::new(), String::new(), Err(e)),
+            Ok(Some(request)) => {
+                let limit = self.limit(request.deadline_ms.map(Duration::from_millis));
+                let result = match limit {
+                    Some(limit) if waited > limit => {
+                        self.totals.timeouts.fetch_add(1, Ordering::Relaxed);
+                        telemetry::counter_add("server.queue.timeout", 1);
+                        Err((
+                            ErrorKind::Timeout,
+                            format!(
+                                "deadline exceeded: queued {} ms, limit {} ms",
+                                waited.as_millis(),
+                                limit.as_millis()
+                            ),
+                        ))
+                    }
+                    _ => protocol::respond(&self.core, &request, trace),
+                };
+                let detail = protocol::request_detail(&request);
+                (request.op, detail, result)
             }
         };
-        let op = request.op.clone();
-        let detail = protocol::request_detail(&request);
-        let requested = request.deadline_ms.map(Duration::from_millis);
-        let limit = match (self.deadline, requested) {
-            (Some(server), Some(request)) => Some(server.min(request)),
-            (Some(server), None) => Some(server),
-            (None, request) => request,
-        };
-        if let Some(limit) = limit {
-            if waited > limit {
-                self.totals.timeouts.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter_add("server.queue.timeout", 1);
-                let message = format!(
-                    "deadline exceeded: queued {} ms, limit {} ms",
-                    waited.as_millis(),
-                    limit.as_millis()
-                );
-                let mut outcome =
-                    self.render_error(trace, started, ErrorKind::Timeout, &message, detail);
-                outcome.op = op;
-                return Some(outcome);
-            }
-        }
-        // Below-full estimate floors are served instantly from the
-        // local fidelity ladder even on non-owner nodes — the background
-        // upgrade hook routes ownership afterwards. Full-fidelity
-        // estimates and every other spec-bearing op still block on
-        // cluster ensure as before.
-        let floor =
-            protocol::effective_floor(&request, self.default_floor).unwrap_or(Fidelity::Full);
-        if let (Some(rt), Some(root)) = (&self.cluster, &self.store_root) {
-            if let Some(spec) = protocol::request_spec(&request) {
-                if request.op != "estimate" || floor == Fidelity::Full {
-                    cluster::ensure_model(rt, &self.engine, root, spec);
-                }
-            }
-        }
-        let (value, status) = match protocol::handle_traced_with_floor(
-            &self.engine,
-            &request,
-            self.default_floor,
-            trace,
-        ) {
+        let (value, status) = match result {
             Ok(reply) => {
                 self.totals.ok.fetch_add(1, Ordering::Relaxed);
                 telemetry::counter_add("server.request.ok", 1);
-                (reply, "ok".to_string())
+                (reply, "ok")
             }
             Err((kind, message)) => {
-                self.totals.errors.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter_add("server.request.error", 1);
-                (
-                    protocol::error_value(kind, &message),
-                    kind.as_str().to_string(),
-                )
+                // Timeouts are counted above, apart from errors.
+                if kind != ErrorKind::Timeout {
+                    self.totals.errors.fetch_add(1, Ordering::Relaxed);
+                    telemetry::counter_add("server.request.error", 1);
+                }
+                (protocol::error_value(kind, &message), kind.as_str())
             }
         };
         let trace_id = trace.is_enabled().then(|| trace.id());
@@ -509,40 +499,12 @@ impl Shared {
             line
         });
         telemetry::record_duration_ns("server.request_ns", started.elapsed().as_nanos() as u64);
-        Some(Outcome {
+        Some(Reply {
             line,
-            op,
-            detail,
-            status,
+            finish: trace
+                .is_enabled()
+                .then(|| Box::new(self.trace_finish(trace.clone(), op, detail, status))),
         })
-    }
-
-    /// Render a structured v1 error outcome (trace id attached when
-    /// tracing), accounting its render time to the serialize stage and
-    /// closing out `server.request_ns`.
-    fn render_error(
-        &self,
-        trace: &mut TraceCtx,
-        started: Instant,
-        kind: ErrorKind,
-        message: &str,
-        detail: String,
-    ) -> Outcome {
-        let trace_id = trace.is_enabled().then(|| trace.id());
-        let line = trace.time(Stage::Serialize, || {
-            let mut line = protocol::error_line(kind, message);
-            if let Some(id) = trace_id {
-                protocol::append_trace_id(&mut line, id);
-            }
-            line
-        });
-        telemetry::record_duration_ns("server.request_ns", started.elapsed().as_nanos() as u64);
-        Outcome {
-            line,
-            op: String::new(),
-            detail,
-            status: kind.as_str().to_string(),
-        }
     }
 
     // --- admin-plane probes (crate::admin) ------------------------------
@@ -556,12 +518,12 @@ impl Shared {
         if self.draining() {
             return Err("draining".to_string());
         }
-        if let Some(root) = &self.store_root {
+        if let Some(root) = &self.core.store_root {
             if !root.is_dir() {
                 return Err(format!("store root missing: {}", root.display()));
             }
         }
-        if let Some(rt) = &self.cluster {
+        if let Some(rt) = &self.core.cluster {
             let state = &rt.state;
             if !state.warm().ready(state.config().warm_timeout) {
                 return Err(format!(
@@ -570,7 +532,7 @@ impl Shared {
                 ));
             }
         }
-        let _ = self.engine.stats();
+        let _ = self.core.engine.stats();
         Ok(())
     }
 
@@ -578,7 +540,7 @@ impl Shared {
     /// warm-gate status, cluster counters and per-peer health. `None`
     /// when the server is not in cluster mode.
     pub(crate) fn clusterz_text(&self) -> Option<String> {
-        let rt = self.cluster.as_ref()?;
+        let rt = self.core.cluster.as_ref()?;
         let state = &rt.state;
         let config = state.config();
         let stats = state.stats().snapshot();
@@ -665,7 +627,7 @@ impl Shared {
     /// directly (names chosen not to collide with registry series),
     /// followed by the full metrics registry in Prometheus text format.
     pub(crate) fn metrics_text(&self) -> String {
-        let stats = self.engine.stats();
+        let stats = self.core.engine.stats();
         let mut out = String::with_capacity(8192);
         for (name, value) in [
             ("engine_cache_entries", stats.entries as f64),
@@ -731,8 +693,12 @@ impl Server {
             .transpose()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         let shared = Arc::new(Shared {
-            engine: Arc::new(PowerEngine::new(config.engine)),
-            default_floor: config.fidelity_floor,
+            core: Core {
+                engine: Arc::new(PowerEngine::new(config.engine)),
+                default_floor: config.fidelity_floor,
+                store_root,
+                cluster,
+            },
             queue: Bounded::new(config.queue_depth),
             draining: AtomicBool::new(false),
             finished: AtomicBool::new(false),
@@ -745,37 +711,34 @@ impl Server {
             max_connections: config.max_connections,
             tracing: config.tracing,
             slow_threshold: config.slow_threshold.max(Duration::from_nanos(1)),
-            store_root,
-            cluster,
         });
-        if shared.cluster.is_some() {
+        if shared.core.cluster.is_some() {
             // Background fidelity upgrades must respect cluster
             // ownership: route through ensure_model (peer fetch /
             // forward to the owner) and only then make the model
             // locally resident. `Weak` so the hook never keeps a
             // dropped server's Shared alive through the engine.
             let weak = Arc::downgrade(&shared);
-            shared.engine.set_upgrade_hook(move |engine, spec| {
+            shared.core.engine.set_upgrade_hook(move |engine, spec| {
                 if let Some(shared) = weak.upgrade() {
-                    if let (Some(rt), Some(root)) = (&shared.cluster, &shared.store_root) {
-                        cluster::ensure_model(rt, engine, root, spec);
-                    }
+                    shared.core.ensure(spec);
                 }
                 let _ = engine.fetch(spec);
             });
         }
-        let gossip = if shared.cluster.is_some() {
+        let gossip = if shared.core.cluster.is_some() {
             let shared = Arc::clone(&shared);
             Some(
                 std::thread::Builder::new()
                     .name("hdpm-gossip".into())
                     .spawn(move || {
-                        let rt = shared.cluster.as_ref().expect("cluster configured");
-                        let root = shared
+                        let core = &shared.core;
+                        let rt = core.cluster.as_ref().expect("cluster configured");
+                        let root = core
                             .store_root
                             .as_ref()
                             .expect("cluster mode requires a disk store");
-                        cluster::run_gossip(&rt.state, &shared.engine, root, &|| shared.draining());
+                        cluster::run_gossip(&rt.state, &core.engine, root, &|| shared.draining());
                     })?,
             )
         } else {
@@ -855,7 +818,7 @@ impl Server {
 
     /// The engine shared by the worker pool (e.g. for pre-warming).
     pub fn engine(&self) -> &PowerEngine {
-        &self.shared.engine
+        &self.shared.core.engine
     }
 
     /// Gracefully drain: stop accepting, stop reading, answer
@@ -1003,35 +966,21 @@ fn run_worker(shared: &Arc<Shared>) {
                 telemetry::record_duration_ns("server.queue.wait_ns", waited_ns);
                 job.trace.add(Stage::QueueWait, waited_ns);
                 if job.out.is_alive() {
-                    let outcome = shared.process_v1(&mut job, waited);
-                    let reply = outcome.map(|outcome| Reply {
-                        finish: job.trace.is_enabled().then(|| {
-                            Box::new(TraceFinish {
-                                trace: job.trace.clone(),
-                                op: outcome.op,
-                                detail: outcome.detail,
-                                status: outcome.status,
-                                slow_threshold: shared.slow_threshold,
-                                submitted_ns: telemetry::clock::now_ns(),
-                            })
-                        }),
-                        line: outcome.line,
-                    });
+                    let reply = shared.process_v1(&mut job, waited);
                     job.out.submit_v1(job.seq, reply);
                 } else {
                     // Dead connection: advance the sequencer, write
                     // nothing, but still file the trace so the flight
                     // recorder sees the drop.
                     if job.trace.is_enabled() {
-                        TraceFinish {
-                            trace: job.trace.clone(),
-                            op: String::new(),
-                            detail: String::new(),
-                            status: "dropped".to_string(),
-                            slow_threshold: shared.slow_threshold,
-                            submitted_ns: telemetry::clock::now_ns(),
-                        }
-                        .complete(false);
+                        shared
+                            .trace_finish(
+                                job.trace.clone(),
+                                String::new(),
+                                String::new(),
+                                "dropped",
+                            )
+                            .complete(false);
                     }
                     job.out.submit_v1(job.seq, None);
                 }
@@ -1056,15 +1005,10 @@ fn run_batch(shared: &Arc<Shared>, batch: &mut V2Batch) {
     batch.trace.add(Stage::QueueWait, waited_ns);
     if !batch.out.is_alive() {
         if batch.trace.is_enabled() {
-            TraceFinish {
-                trace: batch.trace.clone(),
-                op: "batch".to_string(),
-                detail: format!("frames/{}", batch.frames.len()),
-                status: "dropped".to_string(),
-                slow_threshold: shared.slow_threshold,
-                submitted_ns: telemetry::clock::now_ns(),
-            }
-            .complete(false);
+            let detail = format!("frames/{}", batch.frames.len());
+            shared
+                .trace_finish(batch.trace.clone(), "batch".into(), detail, "dropped")
+                .complete(false);
         }
         return;
     }
@@ -1116,13 +1060,9 @@ fn execute_frame(
     replies: &mut Vec<u8>,
 ) {
     let payload = &data[frame.payload.0..frame.payload.1];
-    let requested =
-        (frame.deadline_ms > 0).then(|| Duration::from_millis(u64::from(frame.deadline_ms)));
-    let limit = match (shared.deadline, requested) {
-        (Some(server), Some(frame)) => Some(server.min(frame)),
-        (Some(server), None) => Some(server),
-        (None, frame) => frame,
-    };
+    let limit = shared.limit(
+        (frame.deadline_ms > 0).then(|| Duration::from_millis(u64::from(frame.deadline_ms))),
+    );
     if let Some(limit) = limit {
         let waited = enqueued.elapsed();
         if waited > limit {
@@ -1144,13 +1084,10 @@ fn execute_frame(
         }
     }
     let result = match wire::Opcode::from_u8(frame.op) {
-        Some(wire::Opcode::Estimate) => exec_estimate(shared, payload, trace),
-        Some(wire::Opcode::Characterize) => exec_characterize(shared, payload, trace),
-        Some(wire::Opcode::Stats) => Ok(wire::encode_stats_reply(&shared.engine.stats()).to_vec()),
-        Some(wire::Opcode::Ping) => Ok(Vec::new()),
-        Some(wire::Opcode::FetchModel) => exec_fetch_model(shared, payload),
-        Some(wire::Opcode::HaveModel) => exec_have_model(shared, payload),
-        Some(wire::Opcode::WarmKeys) => exec_warm_keys(shared, payload),
+        Some(wire::Opcode::FetchModel) => exec_fetch_model(&shared.core, payload),
+        Some(wire::Opcode::HaveModel) => exec_have_model(&shared.core, payload),
+        Some(wire::Opcode::WarmKeys) => exec_warm_keys(&shared.core, payload),
+        Some(op) => exec_client_op(&shared.core, op, payload, trace),
         None => Err((
             ErrorKind::BadRequest,
             format!("unknown opcode {}", frame.op),
@@ -1182,27 +1119,32 @@ fn execute_frame(
     }
 }
 
-fn exec_estimate(
-    shared: &Arc<Shared>,
+/// Run one client opcode (estimate, characterize, stats, ping): decode
+/// the payload, execute, encode the answer.
+///
+/// Estimates go through a per-thread reply memo first: a warm v2
+/// estimate is dominated by re-rendering an identical answer, so
+/// identical request payloads (the monitoring / design-sweep steady
+/// state) short-circuit to the cached reply bytes with the source
+/// rewritten to `memo`. Safe because estimates are pure functions of the
+/// request payload — characterization is deterministic, so even a
+/// re-characterized model yields the same numbers. v1 never sees the
+/// memo: its replies keep the engine's own source label.
+fn exec_client_op(
+    core: &Core,
+    op: wire::Opcode,
     payload: &[u8],
     trace: &mut TraceCtx,
-) -> Result<Vec<u8>, (ErrorKind, String)> {
-    // Per-thread reply memo: a warm v2 estimate is dominated by
-    // re-rendering an identical answer, so identical request payloads
-    // (the monitoring / design-sweep steady state) short-circuit to the
-    // cached reply bytes with the source rewritten to `memo`. Safe
-    // because estimates are pure functions of the request payload —
-    // characterization is deterministic, so even a re-characterized
-    // model yields the same numbers.
+) -> Result<Vec<u8>, RequestError> {
     thread_local! {
-        static MEMO: RefCell<HashMap<[u8; wire::ESTIMATE_REQ_LEN], [u8; wire::ESTIMATE_REPLY_LEN]>> =
+        static MEMO: RefCell<HashMap<[u8; wire::ESTIMATE_REQ_LEN], Vec<u8>>> =
             RefCell::new(HashMap::new());
     }
     // Legacy 18-byte payloads key as their 19-byte form with floor 0
     // ("server default") — the memo must not fork on encoding.
-    let key: Option<[u8; wire::ESTIMATE_REQ_LEN]> = match payload.len() {
-        wire::ESTIMATE_REQ_LEN => payload.try_into().ok(),
-        wire::LEGACY_ESTIMATE_REQ_LEN => {
+    let key: Option<[u8; wire::ESTIMATE_REQ_LEN]> = match (op, payload.len()) {
+        (wire::Opcode::Estimate, wire::ESTIMATE_REQ_LEN) => payload.try_into().ok(),
+        (wire::Opcode::Estimate, wire::LEGACY_ESTIMATE_REQ_LEN) => {
             let mut padded = [0u8; wire::ESTIMATE_REQ_LEN];
             padded[..wire::LEGACY_ESTIMATE_REQ_LEN].copy_from_slice(payload);
             Some(padded)
@@ -1210,93 +1152,50 @@ fn exec_estimate(
         _ => None,
     };
     if let Some(key) = key {
-        if let Some(hit) = MEMO.with(|memo| memo.borrow().get(&key).copied()) {
+        if let Some(hit) = MEMO.with(|memo| memo.borrow().get(&key).cloned()) {
             telemetry::counter_add("server.memo.hit", 1);
-            return Ok(hit.to_vec());
+            return Ok(hit);
         }
     }
-    let params = wire::decode_estimate_request(payload).map_err(|m| (ErrorKind::BadRequest, m))?;
-    let floor = params.floor.unwrap_or(shared.default_floor);
-    // Below-full floors answer from the local ladder immediately; the
-    // upgrade hook routes cluster ownership in the background.
-    if floor == Fidelity::Full {
-        if let (Some(rt), Some(root)) = (&shared.cluster, &shared.store_root) {
-            cluster::ensure_model(rt, &shared.engine, root, params.spec);
-        }
-    }
-    let (m1, _) = params.spec.width.operand_widths();
-    let dist = trace.time(Stage::Estimate, || {
-        protocol::input_distribution(
-            params.data,
-            params.spec.kind.operand_count(),
-            m1,
-            params.cycles as usize,
-            params.seed,
-        )
-    });
-    let estimate = shared
-        .engine
-        .estimate_with_floor_traced(params.spec, &dist, floor, trace)
-        .map_err(|e| (ErrorKind::Engine, e.to_string()))?;
-    let reply = wire::encode_estimate_reply(&estimate, wire::source_code(estimate.source));
-    telemetry::counter_add("server.memo.miss", 1);
-    // Only full-fidelity replies are memoizable: a tier-A/B answer for
-    // this key is expected to improve once the background upgrade
-    // lands, and a memo hit would pin the stale tier forever.
-    if estimate.fidelity == Fidelity::Full {
-        if let Some(key) = key {
+    let request = wire::decode_request(op, payload).map_err(|m| (ErrorKind::BadRequest, m))?;
+    let answer = exec::execute(core, request, trace)?;
+    let reply = wire::encode_answer(&answer);
+    if let Answer::Estimate { estimate, .. } = &answer {
+        telemetry::counter_add("server.memo.miss", 1);
+        // Only full-fidelity replies are memoizable: a tier-A/B answer
+        // for this key is expected to improve once the background
+        // upgrade lands, and a memo hit would pin the stale tier forever.
+        if let (Some(key), Fidelity::Full) = (key, estimate.fidelity) {
             MEMO.with(|memo| {
                 let mut memo = memo.borrow_mut();
-                // Blunt bound, like the distribution memo: distinct estimate
-                // payloads are rare (catalogue × widths × data types).
+                // Blunt bound, like the distribution memo: distinct
+                // estimate payloads are rare (catalogue × widths × data
+                // types).
                 if memo.len() >= 4096 {
                     memo.clear();
                 }
-                let mut memoized = reply;
+                let mut memoized = reply.clone();
                 memoized[wire::ESTIMATE_REPLY_SOURCE_OFFSET] = wire::SOURCE_MEMO;
                 memo.insert(key, memoized);
             });
         }
     }
-    Ok(reply.to_vec())
-}
-
-fn exec_characterize(
-    shared: &Arc<Shared>,
-    payload: &[u8],
-    trace: &mut TraceCtx,
-) -> Result<Vec<u8>, (ErrorKind, String)> {
-    let params =
-        wire::decode_characterize_request(payload).map_err(|m| (ErrorKind::BadRequest, m))?;
-    if let (Some(rt), Some(root)) = (&shared.cluster, &shared.store_root) {
-        cluster::ensure_model(rt, &shared.engine, root, params.spec);
-    }
-    let (characterization, source) = shared
-        .engine
-        .fetch_traced(params.spec, trace)
-        .map_err(|e| (ErrorKind::Engine, e.to_string()))?;
-    let reply = wire::CharacterizeReply {
-        input_bits: characterization.model.input_bits() as u32,
-        transitions: characterization.transitions as u64,
-        converged_after: characterization.converged_after.map(|p| p as u64),
-        source: wire::source_code(source),
-    };
-    Ok(wire::encode_characterize_reply(&reply).to_vec())
+    Ok(reply)
 }
 
 /// Serve a peer's fetch-model request: stream the stored artifact's
 /// envelope bytes verbatim, so the peer can re-verify the checksum
 /// independently. An empty ok payload means "not on disk" — envelope
 /// files are never empty, so the encoding is unambiguous.
-fn exec_fetch_model(shared: &Arc<Shared>, payload: &[u8]) -> Result<Vec<u8>, (ErrorKind, String)> {
+fn exec_fetch_model(core: &Core, payload: &[u8]) -> Result<Vec<u8>, RequestError> {
     let spec = wire::decode_spec_request(payload).map_err(|m| (ErrorKind::BadRequest, m))?;
-    let Some(root) = &shared.store_root else {
+    let Some(root) = &core.store_root else {
         return Err((
             ErrorKind::BadRequest,
             "this node has no disk store to fetch from".to_string(),
         ));
     };
-    let key = shared.engine.key_for(spec);
+    let key = core.engine.key_for(spec);
     let path = root.join(key.artifact_file_name());
     if !path.exists() {
         return Ok(Vec::new());
@@ -1321,9 +1220,9 @@ fn exec_fetch_model(shared: &Arc<Shared>, payload: &[u8]) -> Result<Vec<u8>, (Er
 
 /// Serve a peer's have-model probe: one byte, present in either tier or
 /// absent.
-fn exec_have_model(shared: &Arc<Shared>, payload: &[u8]) -> Result<Vec<u8>, (ErrorKind, String)> {
+fn exec_have_model(core: &Core, payload: &[u8]) -> Result<Vec<u8>, RequestError> {
     let spec = wire::decode_spec_request(payload).map_err(|m| (ErrorKind::BadRequest, m))?;
-    let reply = if shared.engine.has_model(spec) {
+    let reply = if core.engine.has_model(spec) {
         wire::HaveModelReply::Present
     } else {
         wire::HaveModelReply::Absent
@@ -1334,15 +1233,15 @@ fn exec_have_model(shared: &Arc<Shared>, payload: &[u8]) -> Result<Vec<u8>, (Err
 /// Serve a peer's warm-keys exchange: validate the advertised list (the
 /// sender's side of the gossip does the learning), reply with this
 /// node's hottest keys.
-fn exec_warm_keys(shared: &Arc<Shared>, payload: &[u8]) -> Result<Vec<u8>, (ErrorKind, String)> {
+fn exec_warm_keys(core: &Core, payload: &[u8]) -> Result<Vec<u8>, RequestError> {
     let _theirs = wire::decode_warm_keys(payload).map_err(|m| (ErrorKind::BadRequest, m))?;
-    let specs: Vec<hdpm_netlist::ModuleSpec> = shared
+    let specs: Vec<hdpm_netlist::ModuleSpec> = core
         .engine
         .hottest_keys(wire::WARM_KEYS_MAX)
         .iter()
         .map(|key| key.spec)
         .collect();
-    if let Some(rt) = &shared.cluster {
+    if let Some(rt) = &core.cluster {
         rt.state.stats().record_warm_keys_sent(specs.len() as u64);
     }
     Ok(wire::encode_warm_keys(&specs))

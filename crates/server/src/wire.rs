@@ -40,6 +40,8 @@ use hdpm_core::{CacheSource, EngineStats, Estimate, Fidelity};
 use hdpm_netlist::{ModuleKind, ModuleSpec, ModuleWidth};
 use hdpm_streams::{DataType, ALL_DATA_TYPES};
 
+use crate::client::Request;
+use crate::exec::Answer;
 use crate::protocol::ErrorKind;
 
 /// The v2 preamble a client writes immediately after connecting. First
@@ -205,6 +207,58 @@ pub fn encode_frame(out: &mut Vec<u8>, id: u64, op: u8, extra: u32, payload: &[u
     out.push(op);
     out.extend_from_slice(&extra.to_le_bytes());
     out.extend_from_slice(payload);
+}
+
+// --- client ops <-> the executor ----------------------------------------
+
+/// Decode a client opcode's payload into the typed request the executor
+/// runs. Stats and ping ignore their payload.
+///
+/// # Errors
+///
+/// The payload decoder's message, or a refusal for the peer-only
+/// opcodes (the server answers those itself; they are not requests).
+pub(crate) fn decode_request(op: Opcode, payload: &[u8]) -> Result<Request, String> {
+    match op {
+        Opcode::Estimate => decode_estimate_request(payload).map(|p| Request::Estimate {
+            spec: p.spec,
+            data: p.data,
+            cycles: p.cycles,
+            seed: p.seed,
+            floor: p.floor,
+        }),
+        Opcode::Characterize => {
+            decode_characterize_request(payload).map(|p| Request::Characterize { spec: p.spec })
+        }
+        Opcode::Stats => Ok(Request::Stats),
+        Opcode::Ping => Ok(Request::Ping),
+        Opcode::FetchModel | Opcode::HaveModel | Opcode::WarmKeys => Err(format!(
+            "{} is a peer op, not a client request",
+            op.as_str()
+        )),
+    }
+}
+
+/// Encode an executor answer as its ok-reply payload.
+pub(crate) fn encode_answer(answer: &Answer) -> Vec<u8> {
+    match answer {
+        Answer::Estimate { estimate, .. } => {
+            encode_estimate_reply(estimate, source_code(estimate.source)).to_vec()
+        }
+        Answer::Characterize {
+            characterization,
+            source,
+            ..
+        } => encode_characterize_reply(&CharacterizeReply {
+            input_bits: characterization.model.input_bits() as u32,
+            transitions: characterization.transitions as u64,
+            converged_after: characterization.converged_after.map(|p| p as u64),
+            source: source_code(*source),
+        })
+        .to_vec(),
+        Answer::Stats(stats) => encode_stats_reply(stats).to_vec(),
+        Answer::Pong => Vec::new(),
+    }
 }
 
 // --- estimate ----------------------------------------------------------

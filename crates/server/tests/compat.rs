@@ -4,13 +4,14 @@
 //! (fresh server, serialized execution — the fixtures embed stateful
 //! cache counters). This file covers what golden replay cannot: v1 and
 //! v2 negotiated side by side on one listener, answer agreement across
-//! the op × protocol matrix, and v1 ordering guarantees holding while
-//! v2 traffic shares the worker pool.
+//! the op × protocol matrix (errors included, with the stdio loop as a
+//! third transport), and v1 ordering guarantees holding while v2
+//! traffic shares the worker pool.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
-use hdpm_core::{CharacterizationConfig, EngineOptions, ShardingConfig};
+use hdpm_core::{CharacterizationConfig, EngineOptions, Fidelity, ShardingConfig};
 use hdpm_netlist::{ModuleKind, ModuleSpec, ModuleWidth};
 use hdpm_server::client::{Client, Proto, Request, Response};
 use hdpm_server::{Server, ServerConfig};
@@ -236,5 +237,112 @@ fn v1_ordering_survives_concurrent_v2_load() {
         }
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
     });
+    server.shutdown();
+}
+
+/// The error kind and message of a reply that must be an error.
+fn error_of(response: Response) -> (String, String) {
+    match response {
+        Response::Error { kind, message } => (kind, message),
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+}
+
+/// The error kind and message of a raw v1 error line.
+fn v1_error(line: &str) -> (String, String) {
+    let value: serde_json::Value = serde_json::from_str(line).expect("JSON reply");
+    let field = |key: &str| {
+        value
+            .get("error")
+            .and_then(|error| error.get(key))
+            .and_then(serde_json::Value::as_str)
+            .unwrap_or_else(|| panic!("no error.{key} in {line}"))
+            .to_string()
+    };
+    (field("kind"), field("message"))
+}
+
+/// The error column of the op × protocol matrix: requests every
+/// transport must refuse with the same kind and the same message — v1
+/// and v2 over TCP, and the stdio loop of `hdpm serve`. Each case is the
+/// typed request plus the v1 line the typed client would send for it.
+#[test]
+fn errors_agree_across_v1_v2_and_stdio() {
+    let random = hdpm_server::protocol::data_type("random").expect("known type");
+    let estimate = |spec: ModuleSpec, cycles: u32| Request::Estimate {
+        spec,
+        data: random,
+        cycles,
+        seed: 7,
+        floor: None,
+    };
+    let cases = [
+        // Netlist construction fails inside the engine.
+        (
+            Request::Characterize {
+                spec: ModuleSpec::new(ModuleKind::CsaMultiplier, 1usize),
+            },
+            "{\"op\":\"characterize\",\"module\":\"csa_multiplier\",\"width\":1}",
+            "engine",
+        ),
+        // Operand streams cannot be generated at this width.
+        (
+            estimate(ModuleSpec::new(ModuleKind::RippleAdder, 40usize), 2000),
+            "{\"op\":\"estimate\",\"module\":\"ripple_adder\",\"width\":40,\"data\":\"random\",\"cycles\":2000,\"seed\":7}",
+            "bad_request",
+        ),
+        // One past the stream-length cap.
+        (
+            estimate(ModuleSpec::new(ModuleKind::RippleAdder, 8usize), 1_000_001),
+            "{\"op\":\"estimate\",\"module\":\"ripple_adder\",\"width\":8,\"data\":\"random\",\"cycles\":1000001,\"seed\":7}",
+            "bad_request",
+        ),
+    ];
+
+    let engine = std::sync::Arc::new(hdpm_core::PowerEngine::new(quick_config().engine));
+    let mut script: String = cases
+        .iter()
+        .map(|(_, line, _)| format!("{line}\n"))
+        .collect();
+    // Past u32: v1 alone can say it; the message must not change.
+    script.push_str(
+        "{\"op\":\"estimate\",\"module\":\"ripple_adder\",\"width\":8,\"cycles\":10000000000}\n",
+    );
+    script.push_str("{\"op\":\"ping\"}\n");
+    let mut out = Vec::new();
+    hdpm_server::protocol::serve_lines(&engine, Fidelity::Full, script.as_bytes(), &mut out)
+        .expect("serve_lines");
+    let stdio: Vec<(String, String)> = String::from_utf8(out)
+        .expect("utf-8 replies")
+        .lines()
+        .map(v1_error)
+        .collect();
+    assert_eq!(stdio.len(), cases.len() + 2);
+
+    let server = Server::start(quick_config()).expect("start");
+    let mut v1 = Client::connect(server.local_addr(), Proto::V1).expect("v1");
+    let mut v2 = Client::connect(server.local_addr(), Proto::V2).expect("v2");
+    for ((request, line, kind), stdio) in cases.iter().zip(&stdio) {
+        let over_v1 = error_of(v1.call(request, None).expect("v1 reply").response);
+        let over_v2 = error_of(v2.call(request, None).expect("v2 reply").response);
+        assert_eq!(over_v1.0, *kind, "{line}: {over_v1:?}");
+        assert_eq!(over_v1, over_v2, "v1 vs v2: {line}");
+        assert_eq!(&over_v1, stdio, "tcp vs stdio: {line}");
+    }
+    assert!(stdio[1].1.contains("operand width 40"), "{:?}", stdio[1]);
+    assert!(stdio[2].1.contains("1000000"), "{:?}", stdio[2]);
+    assert_eq!(stdio[3], stdio[2], "cycles past u32 on v1");
+
+    // v1 has no ping op, on either v1 transport.
+    let ping = (
+        "bad_request".to_string(),
+        "unknown op `ping` (expected estimate, characterize or stats)".to_string(),
+    );
+    assert_eq!(stdio[4], ping);
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.write_all(b"{\"op\":\"ping\"}\n").expect("send");
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply).expect("reply");
+    assert_eq!(v1_error(reply.trim_end()), ping);
     server.shutdown();
 }

@@ -14,7 +14,7 @@ use hdpm_core::{CharacterizationConfig, EngineOptions, ShardingConfig};
 use hdpm_server::{Server, ServerConfig};
 use hdpm_telemetry as telemetry;
 
-/// The memo bound in `protocol::input_distribution`.
+/// The memo bound of the executor's input-distribution fit.
 const CACHE_CAPACITY: usize = 128;
 
 fn quick_engine() -> EngineOptions {

@@ -8,6 +8,7 @@ use std::time::Duration;
 
 use hdpm_core::{CharacterizationConfig, EngineOptions, ShardingConfig};
 use hdpm_netlist::{ModuleKind, ModuleSpec};
+use hdpm_server::client::{Client as TypedClient, Proto, Request, Response};
 use hdpm_server::{Server, ServerConfigBuilder};
 
 /// A blocking line-oriented test client.
@@ -284,6 +285,54 @@ fn idle_connections_are_reaped() {
     std::thread::sleep(Duration::from_millis(600));
     // The server shut the socket down; we observe EOF without sending.
     assert_eq!(client.recv(), None, "reaped connection is closed");
+    server.shutdown();
+}
+
+/// Estimates whose operand streams cannot be generated (width outside
+/// 2..=32) or would be unboundedly large (cycles over the cap) are
+/// refused with `bad_request` on both protocols — and the one worker
+/// that read them is still alive to answer a fresh connection.
+#[test]
+fn out_of_range_estimates_are_refused_and_the_worker_survives() {
+    let server = Server::start(quick_config().workers(1).build().unwrap()).expect("start");
+    for line in [
+        "{\"op\":\"estimate\",\"module\":\"ripple_adder\",\"width\":40}",
+        "{\"op\":\"estimate\",\"module\":\"ripple_adder\",\"width\":8,\"cycles\":1000001}",
+    ] {
+        let reply = Client::connect(&server).round_trip(line);
+        assert!(
+            reply.contains("\"kind\":\"bad_request\""),
+            "{line}: {reply}"
+        );
+        let stats = Client::connect(&server).round_trip(STATS);
+        assert!(stats.contains("\"ok\":true"), "after {line}: {stats}");
+    }
+    let typed = |spec: ModuleSpec, cycles: u32| Request::Estimate {
+        spec,
+        data: hdpm_server::protocol::data_type("random").expect("known type"),
+        cycles,
+        seed: 7,
+        floor: None,
+    };
+    for request in [
+        typed(ModuleSpec::new(ModuleKind::RippleAdder, 40usize), 2000),
+        typed(ModuleSpec::new(ModuleKind::RippleAdder, 8usize), 1_000_001),
+    ] {
+        let v2 = || {
+            let stream = TcpStream::connect(server.local_addr()).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(60)))
+                .unwrap();
+            TypedClient::from_stream(stream, Proto::V2).expect("v2")
+        };
+        let reply = v2().call(&request, None).expect("v2 reply");
+        assert!(
+            matches!(&reply.response, Response::Error { kind, .. } if kind == "bad_request"),
+            "{request:?}: {reply:?}"
+        );
+        let stats = v2().call(&Request::Stats, None).expect("v2 stats");
+        assert!(matches!(stats.response, Response::Stats(_)), "{stats:?}");
+    }
     server.shutdown();
 }
 
