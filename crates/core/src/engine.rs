@@ -291,7 +291,7 @@ type UpgradeHook = Arc<dyn Fn(&PowerEngine, ModuleSpec) + Send + Sync>;
 
 /// The long-lived estimation facade: a thread-safe, two-tier
 /// content-addressed cache of characterized models with single-flight
-/// miss handling. See the [module docs](self) for the full contract.
+/// miss handling. `docs/engine.md` documents the full contract.
 pub struct PowerEngine {
     options: EngineOptions,
     library: Option<ModelLibrary>,
@@ -558,14 +558,7 @@ impl PowerEngine {
         let (characterization, source) = self.fetch_traced(spec, trace)?;
         let model = &characterization.model;
         trace.time(Stage::Estimate, || {
-            Ok(Estimate {
-                charge_per_cycle: model.estimate_distribution(dist)?,
-                via_average: model.estimate_interpolated(dist.mean()),
-                average_hd: dist.mean(),
-                source,
-                fidelity: Fidelity::Full,
-                confidence: 1.0,
-            })
+            estimate_from(model, dist, source, Fidelity::Full, 1.0)
         })
     }
 
@@ -631,7 +624,7 @@ impl PowerEngine {
         if let Some(c) = cached {
             telemetry::counter_add("engine.cache.hit", 1);
             return trace.time(Stage::Estimate, || {
-                full_estimate(&c.model, dist, CacheSource::Memory)
+                estimate_from(&c.model, dist, CacheSource::Memory, Fidelity::Full, 1.0)
             });
         }
         if self.library.as_ref().is_some_and(|l| l.contains(spec)) {
@@ -640,16 +633,15 @@ impl PowerEngine {
         // Tier B: regression over characterized siblings, if the family
         // has enough of them.
         if let Some((family, confidence)) = self.family_fit(spec.kind) {
-            let estimate = trace.time(Stage::Estimate, || -> Result<Estimate, ModelError> {
+            let estimate = trace.time(Stage::Estimate, || {
                 let predicted = family.predict_model(spec.width);
-                Ok(Estimate {
-                    charge_per_cycle: predicted.estimate_distribution(dist)?,
-                    via_average: predicted.estimate_interpolated(dist.mean()),
-                    average_hd: dist.mean(),
-                    source: CacheSource::Regressed,
-                    fidelity: Fidelity::Regressed,
+                estimate_from(
+                    &predicted,
+                    dist,
+                    CacheSource::Regressed,
+                    Fidelity::Regressed,
                     confidence,
-                })
+                )
             })?;
             self.regressed_served.fetch_add(1, Ordering::Relaxed);
             telemetry::counter_add("engine.fidelity.regressed", 1);
@@ -659,15 +651,14 @@ impl PowerEngine {
         // Tier A: the closed-form structural estimate, floor permitting.
         if floor == Fidelity::Analytic {
             let model = self.analytic_model_for(spec)?;
-            let estimate = trace.time(Stage::Estimate, || -> Result<Estimate, ModelError> {
-                Ok(Estimate {
-                    charge_per_cycle: model.estimate_distribution(dist)?,
-                    via_average: model.estimate_interpolated(dist.mean()),
-                    average_hd: dist.mean(),
-                    source: CacheSource::Analytic,
-                    fidelity: Fidelity::Analytic,
-                    confidence: fidelity::ANALYTIC_CONFIDENCE,
-                })
+            let estimate = trace.time(Stage::Estimate, || {
+                estimate_from(
+                    &model,
+                    dist,
+                    CacheSource::Analytic,
+                    Fidelity::Analytic,
+                    fidelity::ANALYTIC_CONFIDENCE,
+                )
             })?;
             self.analytic_served.fetch_add(1, Ordering::Relaxed);
             telemetry::counter_add("engine.fidelity.analytic", 1);
@@ -931,19 +922,22 @@ impl Drop for PowerEngine {
     }
 }
 
-/// A full-fidelity estimate from a characterized model.
-fn full_estimate(
+/// The estimate of `dist` under `model`, labeled with the tier the
+/// model came from, its fidelity and the confidence in it.
+fn estimate_from(
     model: &HdModel,
     dist: &HdDistribution,
     source: CacheSource,
+    fidelity: Fidelity,
+    confidence: f64,
 ) -> Result<Estimate, ModelError> {
     Ok(Estimate {
         charge_per_cycle: model.estimate_distribution(dist)?,
         via_average: model.estimate_interpolated(dist.mean()),
         average_hd: dist.mean(),
         source,
-        fidelity: Fidelity::Full,
-        confidence: 1.0,
+        fidelity,
+        confidence,
     })
 }
 

@@ -89,9 +89,11 @@ pub use shard::{
 pub use store::{
     fsck, FsckEntry, FsckOptions, FsckReport, FsckStatus, RepairAction, META_DIR, QUARANTINE_DIR,
 };
-// The backend selector is defined next to the simulators in `hdpm-sim`;
-// re-exported here because `characterize*_with_backend` take it.
-pub use hdpm_sim::SimBackend;
+// The backend selector and the pattern-width cap are defined next to
+// the simulators in `hdpm-sim`; re-exported here because
+// `characterize*_with_backend` take the one and every characterization
+// is bounded by the other.
+pub use hdpm_sim::{SimBackend, MAX_PATTERN_BITS};
 
 pub mod prelude {
     //! One-line import of what a typical caller needs: the engine facade,

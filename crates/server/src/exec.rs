@@ -11,9 +11,12 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use hdpm_core::{CacheSource, Characterization, EngineStats, Estimate, Fidelity, PowerEngine};
+use hdpm_core::{
+    CacheSource, Characterization, EngineStats, Estimate, Fidelity, LruCache, PowerEngine,
+    MAX_PATTERN_BITS,
+};
 use hdpm_datamodel::{region_model, HdDistribution, WordModel};
-use hdpm_netlist::ModuleSpec;
+use hdpm_netlist::{ModuleSpec, ModuleWidth};
 use hdpm_streams::DataType;
 use hdpm_telemetry::{self as telemetry, Stage, TraceCtx};
 
@@ -28,6 +31,9 @@ const STREAM_WIDTHS: std::ops::RangeInclusive<usize> = 2..=32;
 /// operands × cycles × 8 bytes to generate; every shipped default,
 /// fixture and benchmark stays at or below 2000 cycles.
 const MAX_CYCLES: u32 = 1_000_000;
+
+/// Distinct input distributions each serving thread keeps fitted.
+const DIST_MEMO_CAPACITY: usize = 128;
 
 /// What the executor runs against: the engine, the fidelity floor for
 /// estimates that name none, and, on a cluster node, the runtime plus
@@ -91,8 +97,9 @@ pub(crate) enum Answer {
 /// # Errors
 ///
 /// [`ErrorKind::BadRequest`] for an estimate whose operand width or
-/// stream length the generators cannot serve, [`ErrorKind::Engine`] for
-/// engine failures.
+/// stream length the generators cannot serve, or a module with more
+/// input bits than characterization can simulate; [`ErrorKind::Engine`]
+/// for engine failures.
 pub(crate) fn execute(
     core: &Core,
     request: Request,
@@ -108,6 +115,7 @@ pub(crate) fn execute(
         } => {
             let (m1, _) = spec.width.operand_widths();
             check_streams(m1, cycles)?;
+            check_input_bits(spec)?;
             let floor = floor.unwrap_or(core.default_floor);
             if floor == Fidelity::Full {
                 core.ensure(spec);
@@ -128,6 +136,7 @@ pub(crate) fn execute(
             })
         }
         Request::Characterize { spec } => {
+            check_input_bits(spec)?;
             core.ensure(spec);
             let (characterization, source) = core
                 .engine
@@ -166,6 +175,26 @@ fn check_streams(width: usize, cycles: u32) -> Result<(), RequestError> {
     Ok(())
 }
 
+/// Reject modules whose input word is wider than the characterizer's
+/// simulation patterns, before anything is built for them. Operand
+/// widths are clamped to one past the cap first: the verdict is the
+/// same, and a width in the millions cannot overflow the sum.
+fn check_input_bits(spec: ModuleSpec) -> Result<(), RequestError> {
+    let (m1, m2) = spec.width.operand_widths();
+    let cap = MAX_PATTERN_BITS + 1;
+    let clamped = ModuleWidth::Rect(m1.min(cap), m2.min(cap));
+    if spec.kind.input_bits(clamped) > MAX_PATTERN_BITS {
+        return Err((
+            ErrorKind::BadRequest,
+            format!(
+                "module {spec} has more than {MAX_PATTERN_BITS} input bits, \
+                 the most characterization can simulate"
+            ),
+        ));
+    }
+    Ok(())
+}
+
 fn engine_error(e: impl std::fmt::Display) -> RequestError {
     (ErrorKind::Engine, e.to_string())
 }
@@ -184,23 +213,14 @@ fn input_distribution(
     seed: u64,
 ) -> HdDistribution {
     type DistKey = (&'static str, usize, usize, usize, u64);
-    struct DistCache {
-        tick: u64,
-        map: std::collections::HashMap<DistKey, (u64, HdDistribution)>,
-    }
     thread_local! {
-        static DISTRIBUTIONS: std::cell::RefCell<DistCache> = std::cell::RefCell::new(DistCache {
-            tick: 0,
-            map: std::collections::HashMap::new(),
-        });
+        static DISTRIBUTIONS: std::cell::RefCell<LruCache<DistKey, HdDistribution>> =
+            std::cell::RefCell::new(LruCache::new(DIST_MEMO_CAPACITY));
     }
     let key = (dt.name(), operands, m1, cycles, seed);
     DISTRIBUTIONS.with(|cache| {
         let mut cache = cache.borrow_mut();
-        cache.tick += 1;
-        let tick = cache.tick;
-        if let Some((last_used, dist)) = cache.map.get_mut(&key) {
-            *last_used = tick;
+        if let Some(dist) = cache.get(&key) {
             telemetry::counter_add("protocol.dist_cache.hit", 1);
             return dist.clone();
         }
@@ -211,22 +231,12 @@ fn input_distribution(
             .map(|w| HdDistribution::from_regions(&region_model(&WordModel::from_words(w, m1))))
             .collect();
         let dist = HdDistribution::convolve_all(&dists);
-        // Bounded, one cold entry at a time: evicting the least recently
-        // used key keeps the warm working set intact when the 129th
-        // distinct key lands, instead of dropping the whole memo and
+        // Evicting the one least recently used key keeps the warm
+        // working set intact when a new distinct key lands, instead of
         // refitting ~100 µs per entry on the next pass over it.
-        if cache.map.len() >= 128 {
-            if let Some(victim) = cache
-                .map
-                .iter()
-                .min_by_key(|(_, (last_used, _))| *last_used)
-                .map(|(k, _)| *k)
-            {
-                cache.map.remove(&victim);
-                telemetry::counter_add("protocol.dist_cache.evict", 1);
-            }
+        if cache.insert(key, dist.clone()).is_some() {
+            telemetry::counter_add("protocol.dist_cache.evict", 1);
         }
-        cache.map.insert(key, (tick, dist.clone()));
         dist
     })
 }

@@ -29,10 +29,11 @@
 //!   characterization);
 //! * **load shedding**: a full queue answers `overloaded` immediately
 //!   instead of growing an unbounded backlog;
-//! * **deadlines**: v1 requests that out-wait their limit in the queue
-//!   earn a structured `timeout` reply; v2 deadlines are in-band per
-//!   frame and cover decode → write, with late completions labeled
-//!   ([`wire::FLAG_LATE`]) instead of discarded;
+//! * **deadlines**: a request whose limit, counted from its arrival,
+//!   passes before it executes earns a structured `timeout` reply; v2
+//!   deadlines are in-band per frame, and v2 completions that finish
+//!   past their limit are labeled ([`wire::FLAG_LATE`]) instead of
+//!   discarded;
 //! * **connection hygiene**: idle reaping, write timeouts that
 //!   disconnect slow readers, and malformed input that never tears the
 //!   server down;

@@ -101,8 +101,8 @@ pub enum ErrorKind {
     /// The server shed the request: queue full, connection limit, or
     /// draining. Never emitted by the stdin transport.
     Overloaded,
-    /// The request's deadline expired before a worker reached it. Never
-    /// emitted by the stdin transport.
+    /// The request's deadline, counted from its arrival, expired before
+    /// it could execute. Never emitted by the stdin transport.
     Timeout,
 }
 

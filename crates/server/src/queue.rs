@@ -27,7 +27,9 @@ struct State<T> {
     closed: bool,
 }
 
-/// The bounded MPMC queue. See the [module docs](self).
+/// The bounded MPMC queue: producers never block ([`Bounded::try_push`]
+/// fails fast when full or closed), consumers block in [`Bounded::pop`]
+/// and drain what is left after [`Bounded::close`].
 pub struct Bounded<T> {
     state: Mutex<State<T>>,
     not_empty: Condvar,

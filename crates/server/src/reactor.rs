@@ -12,10 +12,11 @@
 //! * **negotiation** — the first byte of a connection picks the
 //!   protocol: `0x00` opens the v2 preamble ([`crate::wire::MAGIC`]),
 //!   anything else is a v1 JSON-lines client;
-//! * **framing** — v1 lines become one queue job each (preserving the
-//!   per-line shed/timeout semantics and the reply sequencer); v2
-//!   frames are coalesced into batch jobs (up to [`MAX_BATCH`] frames,
-//!   one allocation per batch) completed out of order by the workers;
+//! * **framing** — both protocols queue the same job type through
+//!   [`Shared::enqueue`]: a v1 line is one job (its own shed and timeout
+//!   answer, and a slot in the reply sequencer); a read burst of v2
+//!   frames is one job (up to [`MAX_BATCH`] frames, one allocation per
+//!   burst) whose frames the workers complete out of order;
 //! * **write-side drainage** — workers write replies opportunistically
 //!   from their own threads ([`ConnOut::send`]); only when the socket
 //!   would block does the reactor take over via `EPOLLOUT`, enforcing
@@ -41,8 +42,8 @@ use std::time::{Duration, Instant};
 use hdpm_telemetry as telemetry;
 use poller::{Interest, Poller, Waker};
 
-use crate::protocol::ErrorKind;
-use crate::server::{FrameRef, Reply, Shared};
+use crate::protocol::{self, ErrorKind};
+use crate::server::{FrameRef, Reply, Shared, Work};
 use crate::wire;
 
 /// Token reserved for each reactor's waker.
@@ -624,7 +625,7 @@ fn handle_read(shared: &Arc<Shared>, conn: &mut Conn, scratch: &mut [u8]) -> Rea
                 if matches!(conn.proto, Proto::V1 | Proto::Negotiating) && !conn.rbuf.is_empty() {
                     let line = std::mem::take(&mut conn.rbuf);
                     conn.scanned = 0;
-                    shared.enqueue_v1(&conn.out, &mut conn.next_seq, line);
+                    enqueue_line(shared, conn, line);
                 }
                 return ReadOutcome::Eof;
             }
@@ -681,15 +682,26 @@ fn parse_v1(shared: &Arc<Shared>, conn: &mut Conn) {
             break;
         };
         let nl = from + rel;
-        shared.enqueue_v1(
-            &conn.out,
-            &mut conn.next_seq,
-            conn.rbuf[start..=nl].to_vec(),
-        );
+        let line = conn.rbuf[start..=nl].to_vec();
+        enqueue_line(shared, conn, line);
         start = nl + 1;
     }
     conn.rbuf.drain(..start);
     conn.scanned = conn.rbuf.len();
+}
+
+/// Queue one raw v1 line as its own job. Blank lines are skipped without
+/// consuming a sequence number (no reply is owed for them).
+fn enqueue_line(shared: &Shared, conn: &mut Conn, raw: Vec<u8>) {
+    if protocol::trim_line(&raw)
+        .iter()
+        .all(u8::is_ascii_whitespace)
+    {
+        return;
+    }
+    let seq = conn.next_seq;
+    conn.next_seq += 1;
+    shared.enqueue(&conn.out, Work::Line { seq, raw });
 }
 
 fn parse_v2(shared: &Arc<Shared>, conn: &mut Conn) -> bool {
@@ -733,7 +745,7 @@ fn parse_v2(shared: &Arc<Shared>, conn: &mut Conn) -> bool {
         }
         if !frames.is_empty() {
             let data = conn.rbuf[base..consumed].to_vec();
-            shared.enqueue_v2(&conn.out, data, frames);
+            shared.enqueue(&conn.out, Work::Frames { data, frames });
         }
         if let Some((id, message)) = poison {
             // The stream cannot be trusted past an oversized frame:

@@ -17,15 +17,19 @@
 //!   against the shared engine, so concurrent misses on one model still
 //!   coalesce through the engine's single-flight path.
 //!
-//! Workers run both protocols through the same executor (`crate::exec`,
-//! owned by [`Shared`] as its core): a v1 job decodes its line, checks
-//! the deadline and hands the resolved request over
-//! ([`protocol::respond`]); a v2 frame decodes its payload, checks the
-//! deadline and executes ([`exec_client_op`]). Only the v2 path keeps a
-//! per-thread reply memo in front of the executor, keyed by the raw
-//! estimate payload; the peer-only cluster opcodes (fetch-model,
-//! have-model, warm-keys) have no v1 spelling and are answered here
-//! directly.
+//! Both protocols queue the same job type, `Job`: its `Work` is one v1
+//! line or one read burst of v2 frames. Every job takes one path from
+//! the queue to its reply. [`Shared::enqueue`] admits it or refuses it
+//! (`Shared::shed`, one `overloaded` reply per refused request); the
+//! worker records its queue wait and drops it if the connection died;
+//! and only then does the codec split: a line is decoded and handed to
+//! the executor (`crate::exec`, through [`protocol::respond`]), each
+//! frame is decoded and executed (`exec_client_op`). Both check their
+//! deadline through `Shared::admit` and count their outcome through
+//! `Shared::tally`. Only frames keep a per-thread reply memo in front
+//! of the executor, keyed by the raw estimate payload; the peer-only
+//! cluster opcodes (fetch-model, have-model, warm-keys) have no v1
+//! spelling and are answered here directly.
 //!
 //! v1 replies on one connection are written in request order even
 //! though workers complete out of order (the per-connection sequencer
@@ -33,8 +37,8 @@
 //! and complete **out of order** — one slow characterization no longer
 //! stalls the pipelined requests behind it.
 //!
-//! Robustness: per-request deadlines (v1: queue wait; v2: in-band,
-//! covering decode → write, with late completions labeled
+//! Robustness: per-request deadlines measured from arrival (a v2 frame
+//! whose limit expires during execution is answered late-but-labeled,
 //! [`crate::wire::FLAG_LATE`]), idle reaping, write timeouts that cut
 //! slow readers instead of blocking a worker, and tolerance of
 //! malformed input. [`Server::shutdown`] drains gracefully: stop
@@ -43,17 +47,16 @@
 //!
 //! # Observability
 //!
-//! When [`ServerConfig::tracing`] is on (the default), every v1 request
-//! (and every v2 batch) gets a [`TraceCtx`] riding the [`Job`] through
-//! the pipeline, accumulating per-stage timings. v1 replies echo the
-//! trace id as `"trace":"t…"`; completed traces land in the flight
-//! recorder (`/tracez`, dumped on drain) and the
-//! `server.stage_ns{stage=…}` histograms; requests slower than
+//! When [`ServerConfig::tracing`] is on (the default), every job gets a
+//! [`TraceCtx`] riding it through the pipeline, accumulating per-stage
+//! timings. v1 replies echo the trace id as `"trace":"t…"`; completed
+//! traces land in the flight recorder (`/tracez`, dumped on drain) and
+//! the `server.stage_ns{stage=…}` histograms; requests slower than
 //! [`ServerConfig::slow_threshold`] emit one `{"type":"slow_request",…}`
 //! line on stderr. The optional admin plane
 //! ([`ServerConfig::admin_addr`], `crate::admin`) serves `/metrics`,
-//! `/healthz`, `/readyz` and `/tracez`. v2 traces are **per batch** (a
-//! read burst of frames shares one trace): ids are already in band, and
+//! `/healthz`, `/readyz` and `/tracez`. v2 traces are **per burst** (the
+//! frames of one job share one trace): ids are already in band, and
 //! per-frame contexts would cost more than the requests they measure.
 
 use std::cell::RefCell;
@@ -95,8 +98,8 @@ pub struct DrainReport {
     /// Requests shed with `overloaded` (queue full, draining, or the
     /// connection limit).
     pub shed: u64,
-    /// Requests answered with `timeout` (v1: expired in the queue; v2:
-    /// in-band deadline expired before execution).
+    /// Requests answered with `timeout`: their deadline, counted from
+    /// arrival, expired before execution.
     pub timeouts: u64,
 }
 
@@ -121,7 +124,7 @@ impl Totals {
     }
 }
 
-/// One reference into a [`V2Batch`]'s data: a single frame.
+/// One frame of a [`Work::Frames`] burst.
 pub(crate) struct FrameRef {
     /// Request id, echoed in the reply.
     pub(crate) id: u64,
@@ -129,34 +132,31 @@ pub(crate) struct FrameRef {
     pub(crate) op: u8,
     /// In-band deadline in ms (0 = none).
     pub(crate) deadline_ms: u32,
-    /// Payload byte range within the batch data.
+    /// Payload byte range within the burst data.
     pub(crate) payload: (usize, usize),
 }
 
-/// One framed v1 request line awaiting a worker.
-pub(crate) struct V1Job {
-    seq: u64,
-    raw: Vec<u8>,
+/// What a queued job asks for, in its protocol's framing.
+pub(crate) enum Work {
+    /// One v1 request line; `seq` places its reply in the connection's
+    /// reply order.
+    Line { seq: u64, raw: Vec<u8> },
+    /// One read burst of v2 frames. Batching amortizes the queue handoff
+    /// and the reply write across every frame the socket delivered
+    /// together — the main lever behind the v2 throughput bar.
+    Frames {
+        data: Vec<u8>,
+        frames: Vec<FrameRef>,
+    },
+}
+
+/// A unit of queued work: what to run, where the reply goes, when it
+/// arrived, and the trace it accumulates.
+pub(crate) struct Job {
     out: Arc<ConnOut>,
     enqueued: Instant,
     trace: TraceCtx,
-}
-
-/// One read burst of v2 frames awaiting a worker. Batching amortizes
-/// the queue handoff and the reply write across every frame the socket
-/// delivered together — the main lever behind the v2 throughput bar.
-pub(crate) struct V2Batch {
-    data: Vec<u8>,
-    frames: Vec<FrameRef>,
-    out: Arc<ConnOut>,
-    enqueued: Instant,
-    trace: TraceCtx,
-}
-
-/// A unit of queued work.
-pub(crate) enum Job {
-    V1(V1Job),
-    V2(V2Batch),
+    work: Work,
 }
 
 /// Everything needed to close out a request's trace once its reply is
@@ -278,15 +278,6 @@ impl Shared {
         self.connections.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// The deadline a request runs under: the tighter of the server's
-    /// and the request's own (which may tighten, never extend, it).
-    fn limit(&self, requested: Option<Duration>) -> Option<Duration> {
-        match (self.deadline, requested) {
-            (Some(server), Some(request)) => Some(server.min(request)),
-            (server, request) => server.or(request),
-        }
-    }
-
     /// A fresh trace context when tracing is on, an inert one otherwise.
     fn new_trace(&self) -> TraceCtx {
         if self.tracing {
@@ -315,180 +306,141 @@ impl Shared {
         }
     }
 
-    /// Attach the trace id to a pre-rendered error line and build its
-    /// [`Reply`] (with trace bookkeeping when tracing is on).
-    fn error_reply(
-        &self,
-        trace: TraceCtx,
-        kind: ErrorKind,
-        message: &str,
-        detail: String,
-    ) -> Reply {
-        let mut value = protocol::error_value(kind, message);
-        let finish = trace.is_enabled().then(|| {
-            protocol::attach_trace(&mut value, &trace.id_string());
-            Box::new(self.trace_finish(trace, String::new(), detail, kind.as_str()))
-        });
-        Reply {
-            line: protocol::render(&value),
-            finish,
-        }
-    }
-
-    /// Frame one raw v1 line into the queue, shedding with a structured
-    /// reply when the queue refuses it. Blank lines are skipped without
-    /// consuming a sequence number (no reply is owed for them).
-    pub(crate) fn enqueue_v1(&self, out: &Arc<ConnOut>, next_seq: &mut u64, raw: Vec<u8>) {
-        if protocol::trim_line(&raw)
-            .iter()
-            .all(u8::is_ascii_whitespace)
-        {
-            return;
-        }
-        let seq = *next_seq;
-        *next_seq += 1;
+    /// Queue one job for the worker pool, or refuse it with `overloaded`
+    /// replies when the queue is full or closed for the drain.
+    pub(crate) fn enqueue(&self, out: &Arc<ConnOut>, work: Work) {
         out.begin_job();
-        let job = V1Job {
-            seq,
-            raw,
+        let job = Job {
             out: Arc::clone(out),
             enqueued: Instant::now(),
             trace: self.new_trace(),
+            work,
         };
-        match self.queue.try_push(Job::V1(job)) {
+        match self.queue.try_push(job) {
             Ok(depth) => telemetry::gauge_set("server.queue.depth", depth as f64),
-            Err(PushError::Full(Job::V1(job))) => {
-                self.totals.shed.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter_add("server.queue.shed_full", 1);
-                let reply = self.error_reply(
-                    job.trace,
-                    ErrorKind::Overloaded,
-                    &format!(
-                        "queue full ({} requests queued): request shed",
-                        self.queue.capacity()
-                    ),
-                    String::new(),
-                );
-                job.out.submit_v1(job.seq, Some(reply));
-                job.out.finish_job();
-            }
-            Err(PushError::Closed(Job::V1(job))) => {
-                self.totals.shed.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter_add("server.queue.shed_draining", 1);
-                let reply = self.error_reply(
-                    job.trace,
-                    ErrorKind::Overloaded,
+            Err(PushError::Full(job)) => self.shed(
+                job,
+                "server.queue.shed_full",
+                &format!(
+                    "queue full ({} queued): request shed",
+                    self.queue.capacity()
+                ),
+            ),
+            Err(PushError::Closed(job)) => {
+                self.shed(
+                    job,
+                    "server.queue.shed_draining",
                     "server draining: request shed",
-                    String::new(),
                 );
-                job.out.submit_v1(job.seq, Some(reply));
-                job.out.finish_job();
             }
-            Err(_) => unreachable!("push errors return the pushed job"),
         }
     }
 
-    /// Frame one batch of v2 frames into the queue, answering every
-    /// frame with an `overloaded` error frame when the queue refuses
-    /// the batch.
-    pub(crate) fn enqueue_v2(&self, out: &Arc<ConnOut>, data: Vec<u8>, frames: Vec<FrameRef>) {
-        out.begin_job();
-        let batch = V2Batch {
-            data,
-            frames,
-            out: Arc::clone(out),
-            enqueued: Instant::now(),
-            trace: self.new_trace(),
+    /// Refuse a job the queue would not take: count every request it
+    /// carries (one line, or each frame of a burst) under `counter` and
+    /// the drain report, and answer each with an `overloaded` reply.
+    fn shed(&self, job: Job, counter: &str, message: &str) {
+        let refused = match &job.work {
+            Work::Line { .. } => 1,
+            Work::Frames { frames, .. } => frames.len() as u64,
         };
-        match self.queue.try_push(Job::V2(batch)) {
-            Ok(depth) => telemetry::gauge_set("server.queue.depth", depth as f64),
-            Err(PushError::Full(Job::V2(batch))) => {
-                telemetry::counter_add("server.queue.shed_full", 1);
-                self.shed_batch(
-                    &batch,
-                    &format!(
-                        "queue full ({} batches queued): request shed",
-                        self.queue.capacity()
+        self.totals.shed.fetch_add(refused, Ordering::Relaxed);
+        telemetry::counter_add(counter, refused);
+        match job.work {
+            Work::Line { seq, .. } => {
+                let mut line = protocol::error_line(ErrorKind::Overloaded, message);
+                let trace = job.trace;
+                let finish = trace.is_enabled().then(|| {
+                    protocol::append_trace_id(&mut line, trace.id());
+                    let status = ErrorKind::Overloaded.as_str();
+                    Box::new(self.trace_finish(trace, String::new(), String::new(), status))
+                });
+                job.out.submit_v1(seq, Some(Reply { line, finish }));
+            }
+            Work::Frames { frames, .. } => {
+                let mut replies =
+                    Vec::with_capacity(frames.len() * (wire::HEADER_LEN + message.len()));
+                for frame in &frames {
+                    wire::encode_frame(
+                        &mut replies,
+                        frame.id,
+                        wire::status_of(ErrorKind::Overloaded),
+                        0,
+                        message.as_bytes(),
+                    );
+                }
+                job.out.send(&replies);
+            }
+        }
+        job.out.finish_job();
+    }
+
+    /// Admit a request to execution. Its limit is the tighter of the
+    /// server's deadline and its own (which may tighten, never extend,
+    /// it), counted from arrival. Returns the limit, for a late-answer
+    /// check after execution, or the `timeout` error when the limit has
+    /// already passed.
+    fn admit(
+        &self,
+        requested: Option<Duration>,
+        enqueued: Instant,
+    ) -> Result<Option<Duration>, RequestError> {
+        let limit = match (self.deadline, requested) {
+            (Some(server), Some(request)) => Some(server.min(request)),
+            (server, request) => server.or(request),
+        };
+        if let Some(limit) = limit {
+            let waited = enqueued.elapsed();
+            if waited > limit {
+                return Err((
+                    ErrorKind::Timeout,
+                    format!(
+                        "deadline exceeded: {} ms since arrival, limit {} ms",
+                        waited.as_millis(),
+                        limit.as_millis()
                     ),
-                );
+                ));
             }
-            Err(PushError::Closed(Job::V2(batch))) => {
-                telemetry::counter_add("server.queue.shed_draining", 1);
-                self.shed_batch(&batch, "server draining: request shed");
-            }
-            Err(_) => unreachable!("push errors return the pushed job"),
         }
+        Ok(limit)
     }
 
-    fn shed_batch(&self, batch: &V2Batch, message: &str) {
-        self.totals
-            .shed
-            .fetch_add(batch.frames.len() as u64, Ordering::Relaxed);
-        let mut replies =
-            Vec::with_capacity(batch.frames.len() * (wire::HEADER_LEN + message.len()));
-        for frame in &batch.frames {
-            wire::encode_frame(
-                &mut replies,
-                frame.id,
-                wire::status_of(ErrorKind::Overloaded),
-                0,
-                message.as_bytes(),
-            );
-        }
-        batch.out.send(&replies);
-        batch.out.finish_job();
+    /// Count how a request ended — ok, refused by [`Shared::admit`], or
+    /// any other error — in the drain report and in the matching counter
+    /// at once, so the two cannot diverge.
+    fn tally<T>(&self, result: &Result<T, RequestError>) {
+        let (total, counter) = match result {
+            Ok(_) => (&self.totals.ok, "server.request.ok"),
+            Err((ErrorKind::Timeout, _)) => (&self.totals.timeouts, "server.queue.timeout"),
+            Err(_) => (&self.totals.errors, "server.request.error"),
+        };
+        total.fetch_add(1, Ordering::Relaxed);
+        telemetry::counter_add(counter, 1);
     }
 
-    /// Execute one v1 job: decode, enforce the deadline, resolve and
-    /// execute ([`protocol::respond`]), render the reply (trace id
-    /// attached when tracing). Returns `None` when no output is owed
-    /// (blank line). Per-stage timings accumulate into the job's trace;
-    /// `server.request_ns` keeps measuring processing time only (decode
-    /// → render), as before.
-    fn process_v1(&self, job: &mut V1Job, waited: Duration) -> Option<Reply> {
+    /// Execute one v1 line: decode, admit (once, before execution),
+    /// resolve and execute ([`protocol::respond`]), and render the reply
+    /// with the trace id attached when tracing. Returns `None` when no
+    /// output is owed (a blank line). `server.request_ns` measures the
+    /// processing time only (decode → render).
+    fn run_line(&self, raw: &[u8], enqueued: Instant, trace: &mut TraceCtx) -> Option<Reply> {
         let started = Instant::now();
-        let trace = &mut job.trace;
-        let decoded = trace.time(Stage::Decode, || {
-            protocol::decode(protocol::trim_line(&job.raw))
-        });
+        let decoded = trace.time(Stage::Decode, || protocol::decode(protocol::trim_line(raw)));
         let (op, detail, result) = match decoded {
             Ok(None) => return None,
             Err(e) => (String::new(), String::new(), Err(e)),
             Ok(Some(request)) => {
-                let limit = self.limit(request.deadline_ms.map(Duration::from_millis));
-                let result = match limit {
-                    Some(limit) if waited > limit => {
-                        self.totals.timeouts.fetch_add(1, Ordering::Relaxed);
-                        telemetry::counter_add("server.queue.timeout", 1);
-                        Err((
-                            ErrorKind::Timeout,
-                            format!(
-                                "deadline exceeded: queued {} ms, limit {} ms",
-                                waited.as_millis(),
-                                limit.as_millis()
-                            ),
-                        ))
-                    }
-                    _ => protocol::respond(&self.core, &request, trace),
-                };
+                let result = self
+                    .admit(request.deadline_ms.map(Duration::from_millis), enqueued)
+                    .and_then(|_| protocol::respond(&self.core, &request, trace));
                 let detail = protocol::request_detail(&request);
                 (request.op, detail, result)
             }
         };
+        self.tally(&result);
         let (value, status) = match result {
-            Ok(reply) => {
-                self.totals.ok.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter_add("server.request.ok", 1);
-                (reply, "ok")
-            }
-            Err((kind, message)) => {
-                // Timeouts are counted above, apart from errors.
-                if kind != ErrorKind::Timeout {
-                    self.totals.errors.fetch_add(1, Ordering::Relaxed);
-                    telemetry::counter_add("server.request.error", 1);
-                }
-                (protocol::error_value(kind, &message), kind.as_str())
-            }
+            Ok(reply) => (reply, "ok"),
+            Err((kind, message)) => (protocol::error_value(kind, &message), kind.as_str()),
         };
         let trace_id = trace.is_enabled().then(|| trace.id());
         let line = trace.time(Stage::Serialize, || {
@@ -505,6 +457,86 @@ impl Shared {
                 .is_enabled()
                 .then(|| Box::new(self.trace_finish(trace.clone(), op, detail, status))),
         })
+    }
+
+    /// Execute one v2 burst: every frame in arrival order, the replies
+    /// encoded into one buffer and written with one send. Frames across
+    /// bursts (and connections) complete out of order; the ids sort it
+    /// out client side.
+    fn run_frames(
+        &self,
+        out: &ConnOut,
+        data: &[u8],
+        frames: &[FrameRef],
+        enqueued: Instant,
+        trace: &mut TraceCtx,
+    ) {
+        let started = Instant::now();
+        let mut replies: Vec<u8> =
+            Vec::with_capacity(frames.len() * (wire::HEADER_LEN + wire::ESTIMATE_REPLY_LEN));
+        for frame in frames {
+            let payload = &data[frame.payload.0..frame.payload.1];
+            self.run_frame(frame, payload, enqueued, trace, &mut replies);
+        }
+        telemetry::record_duration_ns("server.request_ns", started.elapsed().as_nanos() as u64);
+        let finish = trace.is_enabled().then(|| {
+            let detail = format!("frames/{}", frames.len());
+            self.trace_finish(trace.clone(), "batch".into(), detail, "ok")
+        });
+        out.send(&replies);
+        if let Some(finish) = finish {
+            finish.complete(true);
+        }
+    }
+
+    /// Execute one v2 frame and append its reply frame to `replies`.
+    ///
+    /// Deadline semantics (documented in docs/protocol.md): a frame
+    /// already past its limit is answered with a `timeout` status
+    /// without executing; a frame whose limit expires **during**
+    /// execution is still answered in full, late-but-labeled with
+    /// [`wire::FLAG_LATE`] — the work is done, discarding it helps
+    /// nobody, and the flag lets the client decide.
+    fn run_frame(
+        &self,
+        frame: &FrameRef,
+        payload: &[u8],
+        enqueued: Instant,
+        trace: &mut TraceCtx,
+        replies: &mut Vec<u8>,
+    ) {
+        let requested =
+            (frame.deadline_ms > 0).then(|| Duration::from_millis(u64::from(frame.deadline_ms)));
+        let mut flags = 0;
+        let result = self.admit(requested, enqueued).and_then(|limit| {
+            let result = match wire::Opcode::from_u8(frame.op) {
+                Some(wire::Opcode::FetchModel) => exec_fetch_model(&self.core, payload),
+                Some(wire::Opcode::HaveModel) => exec_have_model(&self.core, payload),
+                Some(wire::Opcode::WarmKeys) => exec_warm_keys(&self.core, payload),
+                Some(op) => exec_client_op(&self.core, op, payload, trace),
+                None => Err((
+                    ErrorKind::BadRequest,
+                    format!("unknown opcode {}", frame.op),
+                )),
+            };
+            // Late-but-labeled: re-check the limit after execution and
+            // set the flag instead of discarding finished work.
+            if limit.is_some_and(|limit| enqueued.elapsed() > limit) {
+                flags = wire::FLAG_LATE;
+            }
+            result
+        });
+        self.tally(&result);
+        match result {
+            Ok(payload) => wire::encode_frame(replies, frame.id, wire::STATUS_OK, flags, &payload),
+            Err((kind, message)) => wire::encode_frame(
+                replies,
+                frame.id,
+                wire::status_of(kind),
+                flags,
+                message.as_bytes(),
+            ),
+        }
     }
 
     // --- admin-plane probes (crate::admin) ------------------------------
@@ -957,165 +989,40 @@ fn run_accept(shared: &Arc<Shared>, listener: &TcpListener, reactors: &[Arc<Reac
 }
 
 fn run_worker(shared: &Arc<Shared>) {
-    while let Some(job) = shared.queue.pop() {
+    while let Some(mut job) = shared.queue.pop() {
         telemetry::gauge_set("server.queue.depth", shared.queue.len() as f64);
-        match job {
-            Job::V1(mut job) => {
-                let waited = job.enqueued.elapsed();
-                let waited_ns = waited.as_nanos() as u64;
-                telemetry::record_duration_ns("server.queue.wait_ns", waited_ns);
-                job.trace.add(Stage::QueueWait, waited_ns);
-                if job.out.is_alive() {
-                    let reply = shared.process_v1(&mut job, waited);
-                    job.out.submit_v1(job.seq, reply);
-                } else {
-                    // Dead connection: advance the sequencer, write
-                    // nothing, but still file the trace so the flight
-                    // recorder sees the drop.
-                    if job.trace.is_enabled() {
-                        shared
-                            .trace_finish(
-                                job.trace.clone(),
-                                String::new(),
-                                String::new(),
-                                "dropped",
-                            )
-                            .complete(false);
+        let waited_ns = job.enqueued.elapsed().as_nanos() as u64;
+        telemetry::record_duration_ns("server.queue.wait_ns", waited_ns);
+        job.trace.add(Stage::QueueWait, waited_ns);
+        if !job.out.is_alive() {
+            // Dead connection: write nothing, but still file the trace so
+            // the flight recorder sees the drop.
+            if job.trace.is_enabled() {
+                let (op, detail) = match &job.work {
+                    Work::Line { .. } => (String::new(), String::new()),
+                    Work::Frames { frames, .. } => {
+                        ("batch".to_string(), format!("frames/{}", frames.len()))
                     }
-                    job.out.submit_v1(job.seq, None);
+                };
+                shared
+                    .trace_finish(job.trace, op, detail, "dropped")
+                    .complete(false);
+            }
+            if let Work::Line { seq, .. } = job.work {
+                job.out.submit_v1(seq, None);
+            }
+        } else {
+            match &job.work {
+                Work::Line { seq, raw } => {
+                    let reply = shared.run_line(raw, job.enqueued, &mut job.trace);
+                    job.out.submit_v1(*seq, reply);
                 }
-                job.out.finish_job();
-            }
-            Job::V2(mut batch) => {
-                run_batch(shared, &mut batch);
-                batch.out.finish_job();
+                Work::Frames { data, frames } => {
+                    shared.run_frames(&job.out, data, frames, job.enqueued, &mut job.trace);
+                }
             }
         }
-    }
-}
-
-/// Execute one v2 batch: every frame in arrival order, replies encoded
-/// into one buffer and written with one send. Frames across batches
-/// (and connections) complete out of order; the ids sort it out client
-/// side.
-fn run_batch(shared: &Arc<Shared>, batch: &mut V2Batch) {
-    let waited = batch.enqueued.elapsed();
-    let waited_ns = waited.as_nanos() as u64;
-    telemetry::record_duration_ns("server.queue.wait_ns", waited_ns);
-    batch.trace.add(Stage::QueueWait, waited_ns);
-    if !batch.out.is_alive() {
-        if batch.trace.is_enabled() {
-            let detail = format!("frames/{}", batch.frames.len());
-            shared
-                .trace_finish(batch.trace.clone(), "batch".into(), detail, "dropped")
-                .complete(false);
-        }
-        return;
-    }
-    let started = Instant::now();
-    let mut replies: Vec<u8> =
-        Vec::with_capacity(batch.frames.len() * (wire::HEADER_LEN + wire::ESTIMATE_REPLY_LEN));
-    for frame in &batch.frames {
-        execute_frame(
-            shared,
-            frame,
-            &batch.data,
-            batch.enqueued,
-            &mut batch.trace,
-            &mut replies,
-        );
-    }
-    telemetry::record_duration_ns("server.request_ns", started.elapsed().as_nanos() as u64);
-    let submitted_ns = telemetry::clock::now_ns();
-    batch.out.send(&replies);
-    if batch.trace.is_enabled() {
-        TraceFinish {
-            trace: batch.trace.clone(),
-            op: "batch".to_string(),
-            detail: format!("frames/{}", batch.frames.len()),
-            status: "ok".to_string(),
-            slow_threshold: shared.slow_threshold,
-            submitted_ns,
-        }
-        .complete(true);
-    }
-}
-
-/// Execute one v2 frame and append its reply frame to `replies`.
-///
-/// Deadline semantics (documented in docs/protocol.md): the effective
-/// limit is the tighter of the in-band `deadline_ms` and the server
-/// deadline, measured from the moment the frame was read off the
-/// socket. A frame already past its limit is answered with a `timeout`
-/// status without executing; a frame whose limit expires **during**
-/// execution is still answered in full, late-but-labeled with
-/// [`wire::FLAG_LATE`] — the work is done, discarding it helps nobody,
-/// and the flag lets the client decide.
-fn execute_frame(
-    shared: &Arc<Shared>,
-    frame: &FrameRef,
-    data: &[u8],
-    enqueued: Instant,
-    trace: &mut TraceCtx,
-    replies: &mut Vec<u8>,
-) {
-    let payload = &data[frame.payload.0..frame.payload.1];
-    let limit = shared.limit(
-        (frame.deadline_ms > 0).then(|| Duration::from_millis(u64::from(frame.deadline_ms))),
-    );
-    if let Some(limit) = limit {
-        let waited = enqueued.elapsed();
-        if waited > limit {
-            shared.totals.timeouts.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter_add("server.queue.timeout", 1);
-            let message = format!(
-                "deadline exceeded: {} ms since arrival, limit {} ms",
-                waited.as_millis(),
-                limit.as_millis()
-            );
-            wire::encode_frame(
-                replies,
-                frame.id,
-                wire::status_of(ErrorKind::Timeout),
-                0,
-                message.as_bytes(),
-            );
-            return;
-        }
-    }
-    let result = match wire::Opcode::from_u8(frame.op) {
-        Some(wire::Opcode::FetchModel) => exec_fetch_model(&shared.core, payload),
-        Some(wire::Opcode::HaveModel) => exec_have_model(&shared.core, payload),
-        Some(wire::Opcode::WarmKeys) => exec_warm_keys(&shared.core, payload),
-        Some(op) => exec_client_op(&shared.core, op, payload, trace),
-        None => Err((
-            ErrorKind::BadRequest,
-            format!("unknown opcode {}", frame.op),
-        )),
-    };
-    // Late-but-labeled: re-check the limit after execution and set the
-    // flag instead of discarding finished work.
-    let flags = match limit {
-        Some(limit) if enqueued.elapsed() > limit => wire::FLAG_LATE,
-        _ => 0,
-    };
-    match result {
-        Ok(payload) => {
-            shared.totals.ok.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter_add("server.request.ok", 1);
-            wire::encode_frame(replies, frame.id, wire::STATUS_OK, flags, &payload);
-        }
-        Err((kind, message)) => {
-            shared.totals.errors.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter_add("server.request.error", 1);
-            wire::encode_frame(
-                replies,
-                frame.id,
-                wire::status_of(kind),
-                flags,
-                message.as_bytes(),
-            );
-        }
+        job.out.finish_job();
     }
 }
 

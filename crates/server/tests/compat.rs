@@ -297,6 +297,23 @@ fn errors_agree_across_v1_v2_and_stdio() {
             "{\"op\":\"estimate\",\"module\":\"ripple_adder\",\"width\":8,\"data\":\"random\",\"cycles\":1000001,\"seed\":7}",
             "bad_request",
         ),
+        // More input bits (80) than characterization can simulate.
+        (
+            Request::Characterize {
+                spec: ModuleSpec::new(ModuleKind::RippleAdder, 40usize),
+            },
+            "{\"op\":\"characterize\",\"module\":\"ripple_adder\",\"width\":40}",
+            "bad_request",
+        ),
+        // Streamable operands, but 68 input bits at the `full` floor.
+        (
+            estimate(
+                ModuleSpec::new(ModuleKind::RippleAdder, ModuleWidth::Rect(8, 60)),
+                2000,
+            ),
+            "{\"op\":\"estimate\",\"module\":\"ripple_adder\",\"width\":8,\"width2\":60,\"data\":\"random\",\"cycles\":2000,\"seed\":7}",
+            "bad_request",
+        ),
     ];
 
     let engine = std::sync::Arc::new(hdpm_core::PowerEngine::new(quick_config().engine));
@@ -331,14 +348,18 @@ fn errors_agree_across_v1_v2_and_stdio() {
     }
     assert!(stdio[1].1.contains("operand width 40"), "{:?}", stdio[1]);
     assert!(stdio[2].1.contains("1000000"), "{:?}", stdio[2]);
-    assert_eq!(stdio[3], stdio[2], "cycles past u32 on v1");
+    for over in &stdio[3..5] {
+        assert!(over.1.contains("more than 64 input bits"), "{over:?}");
+    }
+    let past_u32 = &stdio[cases.len()];
+    assert_eq!(past_u32, &stdio[2], "cycles past u32 on v1");
 
     // v1 has no ping op, on either v1 transport.
     let ping = (
         "bad_request".to_string(),
         "unknown op `ping` (expected estimate, characterize or stats)".to_string(),
     );
-    assert_eq!(stdio[4], ping);
+    assert_eq!(stdio[cases.len() + 1], ping);
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
     stream.write_all(b"{\"op\":\"ping\"}\n").expect("send");
     let mut reply = String::new();

@@ -10,9 +10,11 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hdpm_core::{CharacterizationConfig, EngineOptions, ShardingConfig};
+use hdpm_netlist::{ModuleKind, ModuleSpec};
+use hdpm_server::client::{Client as TypedClient, Proto, Request, Response};
 use hdpm_server::{Server, ServerConfig};
 use hdpm_telemetry as telemetry;
 
@@ -82,19 +84,29 @@ fn counter(name: &str) -> u64 {
         .unwrap_or(0)
 }
 
+/// Poll the metrics registry until `ready` holds (the server's own
+/// record of where its queue stands), failing after 30 s.
+fn wait_until(what: &str, ready: impl Fn(&telemetry::MetricsSnapshot) -> bool) {
+    let patience = Instant::now() + Duration::from_secs(30);
+    while !ready(&telemetry::snapshot()) {
+        assert!(Instant::now() < patience, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 #[test]
 fn shed_counter_matches_overloaded_replies_on_the_wire() {
     let _state = fresh_state();
-    let server = Server::start(
+    let config = || {
         ServerConfig::builder()
             .workers(1)
             .queue_depth(1)
             .no_deadline()
             .engine(slow_engine())
             .build()
-            .unwrap(),
-    )
-    .expect("start");
+            .unwrap()
+    };
+    let server = Server::start(config()).expect("start");
     let mut client = Client::connect(&server);
     client.send(SLOW_CHARACTERIZE);
     const FLOOD: usize = 40;
@@ -113,6 +125,57 @@ fn shed_counter_matches_overloaded_replies_on_the_wire() {
         "one shed_full increment per overloaded reply"
     );
     assert_eq!(counter("server.queue.timeout"), 0);
+    let report = server.shutdown();
+    assert_eq!(report.shed, overloaded);
+
+    // v2: a read burst of frames is queued (or refused) as one job, and
+    // a refused burst owes one shed per frame, not one per burst.
+    telemetry::reset();
+    let server = Server::start(config()).expect("start");
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut client = TypedClient::from_stream(stream, Proto::V2).expect("v2");
+    let mut burst = |frames: usize, request: &Request| {
+        for _ in 0..frames {
+            client.send(request, None).expect("send");
+        }
+        client.flush().expect("flush");
+    };
+    // Occupy the worker, then fill the one queue slot behind it...
+    let slow = Request::Characterize {
+        spec: ModuleSpec::new(ModuleKind::CsaMultiplier, 8usize),
+    };
+    burst(1, &slow);
+    wait_until("the worker to pick up the characterization", |m| {
+        m.histograms
+            .get("server.queue.wait_ns")
+            .is_some_and(|h| h.count == 1)
+    });
+    burst(1, &Request::Stats);
+    wait_until("the queue to fill", |m| {
+        m.gauges.get("server.queue.depth") == Some(&1.0)
+    });
+    // ...so that a whole multi-frame burst is refused.
+    const BURST: usize = 8;
+    burst(BURST, &Request::Stats);
+    let replies: Vec<_> = (0..BURST + 2)
+        .map(|_| client.recv().expect("v2 reply"))
+        .collect();
+    let overloaded = replies
+        .iter()
+        .filter(|r| matches!(&r.response, Response::Error { kind, .. } if kind == "overloaded"))
+        .count() as u64;
+    assert_eq!(
+        overloaded, BURST as u64,
+        "the burst is refused: {replies:?}"
+    );
+    assert_eq!(
+        counter("server.queue.shed_full"),
+        overloaded,
+        "one shed_full increment per overloaded frame"
+    );
     let report = server.shutdown();
     assert_eq!(report.shed, overloaded);
 }

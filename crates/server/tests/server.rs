@@ -7,7 +7,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use hdpm_core::{CharacterizationConfig, EngineOptions, ShardingConfig};
-use hdpm_netlist::{ModuleKind, ModuleSpec};
+use hdpm_netlist::{ModuleKind, ModuleSpec, ModuleWidth};
 use hdpm_server::client::{Client as TypedClient, Proto, Request, Response};
 use hdpm_server::{Server, ServerConfigBuilder};
 
@@ -298,6 +298,9 @@ fn out_of_range_estimates_are_refused_and_the_worker_survives() {
     for line in [
         "{\"op\":\"estimate\",\"module\":\"ripple_adder\",\"width\":40}",
         "{\"op\":\"estimate\",\"module\":\"ripple_adder\",\"width\":8,\"cycles\":1000001}",
+        // More input bits than characterization can simulate (80, 68).
+        "{\"op\":\"characterize\",\"module\":\"ripple_adder\",\"width\":40}",
+        "{\"op\":\"estimate\",\"module\":\"ripple_adder\",\"width\":8,\"width2\":60}",
     ] {
         let reply = Client::connect(&server).round_trip(line);
         assert!(
@@ -317,6 +320,13 @@ fn out_of_range_estimates_are_refused_and_the_worker_survives() {
     for request in [
         typed(ModuleSpec::new(ModuleKind::RippleAdder, 40usize), 2000),
         typed(ModuleSpec::new(ModuleKind::RippleAdder, 8usize), 1_000_001),
+        Request::Characterize {
+            spec: ModuleSpec::new(ModuleKind::RippleAdder, 40usize),
+        },
+        typed(
+            ModuleSpec::new(ModuleKind::RippleAdder, ModuleWidth::Rect(8, 60)),
+            2000,
+        ),
     ] {
         let v2 = || {
             let stream = TcpStream::connect(server.local_addr()).expect("connect");
