@@ -99,7 +99,9 @@ impl std::fmt::Display for ModelKey {
 /// for the minimum tick, which is O(capacity) but deterministic and
 /// allocation-free — engine capacities are tens to hundreds of entries,
 /// where the scan is noise next to the cached characterizations it
-/// fronts.
+/// fronts. The map grows with use rather than reserving `capacity` up
+/// front: in a large, mostly empty table nearly every first insert
+/// page-faults.
 #[derive(Debug)]
 pub struct LruCache<K: Eq + Hash + Clone, V> {
     capacity: usize,
@@ -127,7 +129,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         LruCache {
             capacity,
             tick: 0,
-            map: HashMap::with_capacity(capacity),
+            map: HashMap::new(),
             hits: 0,
             misses: 0,
             evictions: 0,

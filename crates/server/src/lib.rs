@@ -26,7 +26,8 @@
 //!   ([`Bounded`]) drained by a **fixed worker pool** sharing one
 //!   engine, so concurrent cache misses on the same model coalesce
 //!   through the engine's single-flight path (N clients, one
-//!   characterization);
+//!   characterization); a v2 burst made only of reply-memo hits skips
+//!   the queue and is answered by the reactor that read it;
 //! * **load shedding**: a full queue answers `overloaded` immediately
 //!   instead of growing an unbounded backlog;
 //! * **deadlines**: a request whose limit, counted from its arrival,

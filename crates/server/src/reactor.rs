@@ -17,6 +17,10 @@
 //!   answer, and a slot in the reply sequencer); a read burst of v2
 //!   frames is one job (up to [`MAX_BATCH`] frames, one allocation per
 //!   burst) whose frames the workers complete out of order;
+//! * **run-to-completion** — a v2 burst whose every frame is a reply-memo
+//!   hit is answered here ([`Shared::run_inline`]: at most [`MAX_BATCH`]
+//!   memo lookups, then one [`ConnOut::send`]) instead of being queued;
+//!   nothing else is decoded on a reactor;
 //! * **write-side drainage** — workers write replies opportunistically
 //!   from their own threads ([`ConnOut::send`]); only when the socket
 //!   would block does the reactor take over via `EPOLLOUT`, enforcing
@@ -273,8 +277,9 @@ impl ConnOut {
     }
 
     /// Append reply bytes and flush as far as the socket allows without
-    /// blocking. Called from worker threads; when the socket pushes
-    /// back, the owning reactor takes over via [`Mail::WantWrite`].
+    /// blocking. Called from worker threads (and from the owning reactor
+    /// for bursts it answers itself); when the socket pushes back, the
+    /// owning reactor takes over via [`Mail::WantWrite`].
     pub(crate) fn send(&self, bytes: &[u8]) {
         if bytes.is_empty() || !self.is_alive() {
             return;
@@ -744,8 +749,13 @@ fn parse_v2(shared: &Arc<Shared>, conn: &mut Conn) -> bool {
             consumed += total;
         }
         if !frames.is_empty() {
-            let data = conn.rbuf[base..consumed].to_vec();
-            shared.enqueue(&conn.out, Work::Frames { data, frames });
+            // Run to completion when the whole burst is memo hits;
+            // anything else goes to the workers whole.
+            let data = &conn.rbuf[base..consumed];
+            if !shared.run_inline(&conn.out, data, &frames, Instant::now()) {
+                let data = data.to_vec();
+                shared.enqueue(&conn.out, Work::Frames { data, frames });
+            }
         }
         if let Some((id, message)) = poison {
             // The stream cannot be trusted past an oversized frame:

@@ -26,10 +26,16 @@
 //! the executor (`crate::exec`, through [`protocol::respond`]), each
 //! frame is decoded and executed (`exec_client_op`). Both check their
 //! deadline through `Shared::admit` and count their outcome through
-//! `Shared::tally`. Only frames keep a per-thread reply memo in front
-//! of the executor, keyed by the raw estimate payload; the peer-only
-//! cluster opcodes (fetch-model, have-model, warm-keys) have no v1
-//! spelling and are answered here directly.
+//! `Shared::tally`. Only frames keep a per-server reply memo
+//! (`ReplyMemo`) in front of the executor, keyed by the raw estimate
+//! payload; the peer-only cluster opcodes (fetch-model, have-model,
+//! warm-keys) have no v1 spelling and are answered here directly.
+//!
+//! One kind of burst never reaches the queue: when every frame of a
+//! read burst is an estimate whose reply is memoized, the reactor that
+//! read it answers it on the spot ([`Shared::run_inline`]) — same memo,
+//! same reply assembly, same accounting as a worker, minus the queue
+//! handoff and the wakeup. Any other burst is queued whole.
 //!
 //! v1 replies on one connection are written in request order even
 //! though workers complete out of order (the per-connection sequencer
@@ -59,17 +65,15 @@
 //! frames of one job share one trace): ids are already in band, and
 //! per-frame contexts would cost more than the requests they measure.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hdpm_core::persist::{self, EnvelopeMeta};
-use hdpm_core::{resolve_threads, Characterization, Fidelity, PowerEngine};
+use hdpm_core::{resolve_threads, Characterization, Fidelity, LruCache, PowerEngine};
 use hdpm_telemetry as telemetry;
 use hdpm_telemetry::{trace as trace_mod, Stage, TraceCtx};
 use poller::Poller;
@@ -134,6 +138,68 @@ pub(crate) struct FrameRef {
     pub(crate) deadline_ms: u32,
     /// Payload byte range within the burst data.
     pub(crate) payload: (usize, usize),
+}
+
+impl FrameRef {
+    /// This frame's payload within its burst's `data`.
+    fn payload<'a>(&self, data: &'a [u8]) -> &'a [u8] {
+        &data[self.payload.0..self.payload.1]
+    }
+
+    /// The frame's own deadline, if it set one.
+    fn requested_deadline(&self) -> Option<Duration> {
+        (self.deadline_ms > 0).then(|| Duration::from_millis(u64::from(self.deadline_ms)))
+    }
+}
+
+/// Distinct estimate payloads the reply memo keeps: the catalogue ×
+/// widths × data types of a monitoring or design-sweep steady state.
+const REPLY_MEMO_CAPACITY: usize = 4096;
+
+/// A reply-memo key: an estimate request payload in its 19-byte form.
+type MemoKey = [u8; wire::ESTIMATE_REQ_LEN];
+
+/// Memoized estimate reply payloads by request payload.
+type MemoMap = LruCache<MemoKey, [u8; wire::ESTIMATE_REPLY_LEN]>;
+
+/// The server's v2 reply memo: full-fidelity estimate reply payloads,
+/// source rewritten to `memo`, keyed by the raw request payload.
+///
+/// A warm v2 estimate is dominated by re-rendering an identical answer,
+/// so identical request payloads short-circuit to the cached bytes. Safe
+/// because estimates are pure functions of the request payload —
+/// characterization is deterministic, so even a re-characterized model
+/// yields the same numbers. Owned by the server (never a process-wide
+/// static), shared by every worker and reactor, and bounded as an LRU,
+/// so a full memo evicts its coldest entry instead of the warm set.
+struct ReplyMemo(Mutex<MemoMap>);
+
+impl ReplyMemo {
+    fn new() -> ReplyMemo {
+        ReplyMemo(Mutex::new(LruCache::new(REPLY_MEMO_CAPACITY)))
+    }
+
+    /// The memo key of a frame, when it is an estimate. Legacy 18-byte
+    /// payloads key as their 19-byte form with floor 0 ("server
+    /// default") — the memo must not fork on encoding.
+    fn key(op: u8, payload: &[u8]) -> Option<MemoKey> {
+        if wire::Opcode::from_u8(op) != Some(wire::Opcode::Estimate) {
+            return None;
+        }
+        match payload.len() {
+            wire::ESTIMATE_REQ_LEN => payload.try_into().ok(),
+            wire::LEGACY_ESTIMATE_REQ_LEN => {
+                let mut padded = [0u8; wire::ESTIMATE_REQ_LEN];
+                padded[..wire::LEGACY_ESTIMATE_REQ_LEN].copy_from_slice(payload);
+                Some(padded)
+            }
+            _ => None,
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, MemoMap> {
+        self.0.lock().expect("reply memo lock")
+    }
 }
 
 /// What a queued job asks for, in its protocol's framing.
@@ -237,6 +303,7 @@ pub(crate) struct Shared {
     /// floor ([`ServerConfig::fidelity_floor`]), the store root and, in
     /// cluster mode, the ring, peer health, counters and ensure gate.
     core: Core,
+    memo: ReplyMemo,
     queue: Bounded<Job>,
     draining: AtomicBool,
     /// Workers joined; reactors flush what remains and exit.
@@ -459,10 +526,8 @@ impl Shared {
         })
     }
 
-    /// Execute one v2 burst: every frame in arrival order, the replies
-    /// encoded into one buffer and written with one send. Frames across
-    /// bursts (and connections) complete out of order; the ids sort it
-    /// out client side.
+    /// Execute one v2 burst on a worker: every frame decoded and run
+    /// through the reply memo and the executor (`exec_frame`).
     fn run_frames(
         &self,
         out: &ConnOut,
@@ -471,12 +536,107 @@ impl Shared {
         enqueued: Instant,
         trace: &mut TraceCtx,
     ) {
+        self.reply_burst(out, frames, enqueued, trace, |_, frame, trace| {
+            self.exec_frame(frame.op, frame.payload(data), trace)
+        });
+    }
+
+    /// Answer a v2 burst on the reactor thread that read it, without a
+    /// queue handoff, when every frame is an estimate whose reply is
+    /// memoized. The memo is probed for the whole burst under one lock
+    /// first, so a burst is answered whole, here or by a worker: returns
+    /// `false`, having answered and counted nothing, at the first frame
+    /// that does not qualify. Deadlines are left to `reply_burst`, as on
+    /// the worker path: they count from `arrived`, which is now.
+    pub(crate) fn run_inline(
+        &self,
+        out: &ConnOut,
+        data: &[u8],
+        frames: &[FrameRef],
+        arrived: Instant,
+    ) -> bool {
+        let keys = || {
+            frames
+                .iter()
+                .map(|frame| ReplyMemo::key(frame.op, frame.payload(data)))
+        };
+        let hits: Vec<_> = {
+            let mut memo = self.memo.lock();
+            // Peek first, so a burst that goes to the workers allocates
+            // nothing and leaves recency alone.
+            if !keys().all(|key| key.is_some_and(|key| memo.peek(&key).is_some())) {
+                return false;
+            }
+            keys()
+                .flatten()
+                .filter_map(|key| memo.get(&key).copied())
+                .collect()
+        };
+        telemetry::counter_add("server.request.inline", frames.len() as u64);
+        let mut trace = self.new_trace();
+        self.reply_burst(out, frames, arrived, &mut trace, |at, _, _| {
+            telemetry::counter_add("server.memo.hit", 1);
+            Ok(hits[at])
+        });
+        true
+    }
+
+    /// Answer every frame of a burst in arrival order, each through
+    /// `exec` (given the frame's position in the burst): admit, execute,
+    /// flag late, tally, and encode the reply frames into one buffer
+    /// written with one send; then file the burst's trace. Workers and
+    /// reactors share it, so both paths answer byte-identically. Frames
+    /// across bursts (and connections) complete out of order; the ids
+    /// sort it out client side.
+    ///
+    /// Deadline semantics (documented in docs/protocol.md): a frame
+    /// already past its limit is answered with a `timeout` status
+    /// without executing; a frame whose limit expires **during**
+    /// execution is still answered in full, late-but-labeled with
+    /// [`wire::FLAG_LATE`] — the work is done, discarding it helps
+    /// nobody, and the flag lets the client decide.
+    fn reply_burst<P: AsRef<[u8]>>(
+        &self,
+        out: &ConnOut,
+        frames: &[FrameRef],
+        enqueued: Instant,
+        trace: &mut TraceCtx,
+        mut exec: impl FnMut(usize, &FrameRef, &mut TraceCtx) -> Result<P, RequestError>,
+    ) {
         let started = Instant::now();
         let mut replies: Vec<u8> =
             Vec::with_capacity(frames.len() * (wire::HEADER_LEN + wire::ESTIMATE_REPLY_LEN));
-        for frame in frames {
-            let payload = &data[frame.payload.0..frame.payload.1];
-            self.run_frame(frame, payload, enqueued, trace, &mut replies);
+        for (at, frame) in frames.iter().enumerate() {
+            let mut flags = 0;
+            let result = self
+                .admit(frame.requested_deadline(), enqueued)
+                .and_then(|limit| {
+                    let result = exec(at, frame, trace);
+                    // Late-but-labeled: re-check the limit after
+                    // execution and flag the reply instead of discarding
+                    // finished work.
+                    if limit.is_some_and(|limit| enqueued.elapsed() > limit) {
+                        flags = wire::FLAG_LATE;
+                    }
+                    result
+                });
+            self.tally(&result);
+            match result {
+                Ok(payload) => wire::encode_frame(
+                    &mut replies,
+                    frame.id,
+                    wire::STATUS_OK,
+                    flags,
+                    payload.as_ref(),
+                ),
+                Err((kind, message)) => wire::encode_frame(
+                    &mut replies,
+                    frame.id,
+                    wire::status_of(kind),
+                    flags,
+                    message.as_bytes(),
+                ),
+            }
         }
         telemetry::record_duration_ns("server.request_ns", started.elapsed().as_nanos() as u64);
         let finish = trace.is_enabled().then(|| {
@@ -489,54 +649,56 @@ impl Shared {
         }
     }
 
-    /// Execute one v2 frame and append its reply frame to `replies`.
-    ///
-    /// Deadline semantics (documented in docs/protocol.md): a frame
-    /// already past its limit is answered with a `timeout` status
-    /// without executing; a frame whose limit expires **during**
-    /// execution is still answered in full, late-but-labeled with
-    /// [`wire::FLAG_LATE`] — the work is done, discarding it helps
-    /// nobody, and the flag lets the client decide.
-    fn run_frame(
+    /// Execute one v2 frame's opcode against its payload.
+    fn exec_frame(
         &self,
-        frame: &FrameRef,
+        op: u8,
         payload: &[u8],
-        enqueued: Instant,
         trace: &mut TraceCtx,
-        replies: &mut Vec<u8>,
-    ) {
-        let requested =
-            (frame.deadline_ms > 0).then(|| Duration::from_millis(u64::from(frame.deadline_ms)));
-        let mut flags = 0;
-        let result = self.admit(requested, enqueued).and_then(|limit| {
-            let result = match wire::Opcode::from_u8(frame.op) {
-                Some(wire::Opcode::FetchModel) => exec_fetch_model(&self.core, payload),
-                Some(wire::Opcode::HaveModel) => exec_have_model(&self.core, payload),
-                Some(wire::Opcode::WarmKeys) => exec_warm_keys(&self.core, payload),
-                Some(op) => exec_client_op(&self.core, op, payload, trace),
-                None => Err((
-                    ErrorKind::BadRequest,
-                    format!("unknown opcode {}", frame.op),
-                )),
-            };
-            // Late-but-labeled: re-check the limit after execution and
-            // set the flag instead of discarding finished work.
-            if limit.is_some_and(|limit| enqueued.elapsed() > limit) {
-                flags = wire::FLAG_LATE;
-            }
-            result
-        });
-        self.tally(&result);
-        match result {
-            Ok(payload) => wire::encode_frame(replies, frame.id, wire::STATUS_OK, flags, &payload),
-            Err((kind, message)) => wire::encode_frame(
-                replies,
-                frame.id,
-                wire::status_of(kind),
-                flags,
-                message.as_bytes(),
-            ),
+    ) -> Result<Vec<u8>, RequestError> {
+        match wire::Opcode::from_u8(op) {
+            Some(wire::Opcode::FetchModel) => exec_fetch_model(&self.core, payload),
+            Some(wire::Opcode::HaveModel) => exec_have_model(&self.core, payload),
+            Some(wire::Opcode::WarmKeys) => exec_warm_keys(&self.core, payload),
+            Some(op) => self.exec_client_op(op, payload, trace),
+            None => Err((ErrorKind::BadRequest, format!("unknown opcode {op}"))),
         }
+    }
+
+    /// Run one client opcode (estimate, characterize, stats, ping):
+    /// decode the payload, execute, encode the answer. Estimates go
+    /// through the reply memo first; a full-fidelity answer enters it.
+    /// v1 never sees the memo: its replies keep the engine's own source
+    /// label.
+    fn exec_client_op(
+        &self,
+        op: wire::Opcode,
+        payload: &[u8],
+        trace: &mut TraceCtx,
+    ) -> Result<Vec<u8>, RequestError> {
+        let key = ReplyMemo::key(op as u8, payload);
+        if let Some(key) = key {
+            if let Some(hit) = self.memo.lock().get(&key).copied() {
+                telemetry::counter_add("server.memo.hit", 1);
+                return Ok(hit.to_vec());
+            }
+        }
+        let request = wire::decode_request(op, payload).map_err(|m| (ErrorKind::BadRequest, m))?;
+        let answer = exec::execute(&self.core, request, trace)?;
+        if let Answer::Estimate { estimate, .. } = &answer {
+            telemetry::counter_add("server.memo.miss", 1);
+            // Only full-fidelity replies are memoizable: a tier-A/B
+            // answer for this key is expected to improve once the
+            // background upgrade lands, and a memo hit would pin the
+            // stale tier forever.
+            if let (Some(key), Fidelity::Full) = (key, estimate.fidelity) {
+                let memoized = wire::encode_estimate_reply(estimate, wire::SOURCE_MEMO);
+                if self.memo.lock().insert(key, memoized).is_some() {
+                    telemetry::counter_add("server.memo.evict", 1);
+                }
+            }
+        }
+        Ok(wire::encode_answer(&answer))
     }
 
     // --- admin-plane probes (crate::admin) ------------------------------
@@ -731,6 +893,7 @@ impl Server {
                 store_root,
                 cluster,
             },
+            memo: ReplyMemo::new(),
             queue: Bounded::new(config.queue_depth),
             draining: AtomicBool::new(false),
             finished: AtomicBool::new(false),
@@ -1024,70 +1187,6 @@ fn run_worker(shared: &Arc<Shared>) {
         }
         job.out.finish_job();
     }
-}
-
-/// Run one client opcode (estimate, characterize, stats, ping): decode
-/// the payload, execute, encode the answer.
-///
-/// Estimates go through a per-thread reply memo first: a warm v2
-/// estimate is dominated by re-rendering an identical answer, so
-/// identical request payloads (the monitoring / design-sweep steady
-/// state) short-circuit to the cached reply bytes with the source
-/// rewritten to `memo`. Safe because estimates are pure functions of the
-/// request payload — characterization is deterministic, so even a
-/// re-characterized model yields the same numbers. v1 never sees the
-/// memo: its replies keep the engine's own source label.
-fn exec_client_op(
-    core: &Core,
-    op: wire::Opcode,
-    payload: &[u8],
-    trace: &mut TraceCtx,
-) -> Result<Vec<u8>, RequestError> {
-    thread_local! {
-        static MEMO: RefCell<HashMap<[u8; wire::ESTIMATE_REQ_LEN], Vec<u8>>> =
-            RefCell::new(HashMap::new());
-    }
-    // Legacy 18-byte payloads key as their 19-byte form with floor 0
-    // ("server default") — the memo must not fork on encoding.
-    let key: Option<[u8; wire::ESTIMATE_REQ_LEN]> = match (op, payload.len()) {
-        (wire::Opcode::Estimate, wire::ESTIMATE_REQ_LEN) => payload.try_into().ok(),
-        (wire::Opcode::Estimate, wire::LEGACY_ESTIMATE_REQ_LEN) => {
-            let mut padded = [0u8; wire::ESTIMATE_REQ_LEN];
-            padded[..wire::LEGACY_ESTIMATE_REQ_LEN].copy_from_slice(payload);
-            Some(padded)
-        }
-        _ => None,
-    };
-    if let Some(key) = key {
-        if let Some(hit) = MEMO.with(|memo| memo.borrow().get(&key).cloned()) {
-            telemetry::counter_add("server.memo.hit", 1);
-            return Ok(hit);
-        }
-    }
-    let request = wire::decode_request(op, payload).map_err(|m| (ErrorKind::BadRequest, m))?;
-    let answer = exec::execute(core, request, trace)?;
-    let reply = wire::encode_answer(&answer);
-    if let Answer::Estimate { estimate, .. } = &answer {
-        telemetry::counter_add("server.memo.miss", 1);
-        // Only full-fidelity replies are memoizable: a tier-A/B answer
-        // for this key is expected to improve once the background
-        // upgrade lands, and a memo hit would pin the stale tier forever.
-        if let (Some(key), Fidelity::Full) = (key, estimate.fidelity) {
-            MEMO.with(|memo| {
-                let mut memo = memo.borrow_mut();
-                // Blunt bound, like the distribution memo: distinct
-                // estimate payloads are rare (catalogue × widths × data
-                // types).
-                if memo.len() >= 4096 {
-                    memo.clear();
-                }
-                let mut memoized = reply.clone();
-                memoized[wire::ESTIMATE_REPLY_SOURCE_OFFSET] = wire::SOURCE_MEMO;
-                memo.insert(key, memoized);
-            });
-        }
-    }
-    Ok(reply)
 }
 
 /// Serve a peer's fetch-model request: stream the stored artifact's

@@ -143,7 +143,7 @@ pub fn kind_of(status: u8) -> Option<ErrorKind> {
 }
 
 /// Wire code of a model source (reply payloads). `5` marks a reply
-/// served from the server's per-thread reply memo — indistinguishable
+/// served from the server's per-server reply memo — indistinguishable
 /// from a memory hit in content, distinguishable on the wire so
 /// benchmarks and tests can see the cache tier.
 pub fn source_code(source: CacheSource) -> u8 {
@@ -157,7 +157,7 @@ pub fn source_code(source: CacheSource) -> u8 {
     }
 }
 
-/// Source code of a reply served from the per-thread reply memo.
+/// Source code of a reply served from the server's reply memo.
 pub const SOURCE_MEMO: u8 = 5;
 
 /// The v1 source string behind a reply source code.

@@ -8,13 +8,13 @@
 //! third transport), and v1 ordering guarantees holding while v2
 //! traffic shares the worker pool.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
 use hdpm_core::{CharacterizationConfig, EngineOptions, Fidelity, ShardingConfig};
 use hdpm_netlist::{ModuleKind, ModuleSpec, ModuleWidth};
 use hdpm_server::client::{Client, Proto, Request, Response};
-use hdpm_server::{Server, ServerConfig};
+use hdpm_server::{wire, Server, ServerConfig};
 
 fn quick_config() -> ServerConfig {
     ServerConfig::builder()
@@ -184,10 +184,21 @@ fn v1_wire_bytes_are_unchanged_next_to_v2_traffic() {
 }
 
 /// v1 ordering holds while v2 clients hammer the same worker pool: the
-/// sequencer orders one connection's replies, not the global queue.
+/// sequencer orders one connection's replies, not the global queue. One
+/// reactor serves every connection, so the v2 memo hits it answers
+/// itself interleave with the v1 lines it queues for the workers.
 #[test]
 fn v1_ordering_survives_concurrent_v2_load() {
-    let server = Server::start(quick_config()).expect("start");
+    let server = Server::start(
+        ServerConfig::builder()
+            .reactors(1)
+            .workers(4)
+            .no_deadline()
+            .engine(quick_config().engine)
+            .build()
+            .unwrap(),
+    )
+    .expect("start");
     server
         .engine()
         .warm(&[ModuleSpec::new(ModuleKind::RippleAdder, 4usize)], 0)
@@ -205,8 +216,13 @@ fn v1_ordering_survives_concurrent_v2_load() {
                     seed: 7,
                     floor: None,
                 };
+                client.call(&request, None).expect("v2 estimate");
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    client.call(&request, None).expect("v2 estimate");
+                    let reply = client.call(&request, None).expect("v2 estimate");
+                    match reply.response {
+                        Response::Estimate(e) => assert_eq!(e.source, "memo"),
+                        other => panic!("v2: {other:?}"),
+                    }
                 }
             });
         }
@@ -237,6 +253,125 @@ fn v1_ordering_survives_concurrent_v2_load() {
         }
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
     });
+    server.shutdown();
+}
+
+/// A v2 connection speaking raw frames, so replies can be compared
+/// byte for byte and a burst's frames leave in one write.
+struct RawV2 {
+    stream: TcpStream,
+}
+
+impl RawV2 {
+    fn connect(server: &Server) -> RawV2 {
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(120)))
+            .unwrap();
+        stream.write_all(&wire::MAGIC).expect("preamble");
+        RawV2 { stream }
+    }
+
+    /// Send `(id, payload)` estimate frames in one write and read one
+    /// raw reply frame per request, in arrival order.
+    fn burst(&mut self, frames: &[(u64, &[u8])]) -> Vec<Vec<u8>> {
+        let mut bytes = Vec::new();
+        for (id, payload) in frames {
+            wire::encode_frame(&mut bytes, *id, wire::Opcode::Estimate as u8, 0, payload);
+        }
+        self.stream.write_all(&bytes).expect("send");
+        (0..frames.len())
+            .map(|_| {
+                let mut header = [0u8; wire::HEADER_LEN];
+                self.stream.read_exact(&mut header).expect("reply header");
+                let len = wire::decode_header(&header).len as usize;
+                let mut frame = header.to_vec();
+                frame.resize(wire::HEADER_LEN + len, 0);
+                self.stream
+                    .read_exact(&mut frame[wire::HEADER_LEN..])
+                    .expect("reply payload");
+                frame
+            })
+            .collect()
+    }
+}
+
+/// The reply memo answers the same bytes on both of its paths: a burst
+/// of memo hits is answered by the reactor that read it, and a burst
+/// mixing a hit with a miss is answered whole by a worker — hit included.
+/// With the only worker held by a slow characterization, the first kind
+/// comes back at once and the second only after the characterization.
+#[test]
+fn inline_memo_hits_match_the_worker_path() {
+    let server = Server::start(
+        ServerConfig::builder()
+            .workers(1)
+            .no_deadline()
+            .engine(EngineOptions {
+                config: CharacterizationConfig::builder()
+                    .max_patterns(12_000)
+                    .build()
+                    .unwrap(),
+                ..quick_config().engine
+            })
+            .build()
+            .unwrap(),
+    )
+    .expect("start");
+    let spec = ModuleSpec::new(ModuleKind::RippleAdder, 4usize);
+    server.engine().warm(&[spec], 0).expect("warm");
+    let payload = |seed: u64| {
+        wire::encode_estimate_request(&wire::EstimateParams {
+            spec,
+            data: hdpm_server::protocol::data_type("counter").expect("known type"),
+            cycles: 64,
+            seed,
+            floor: None,
+        })
+    };
+    let (hit, miss, other_miss) = (payload(1), payload(2), payload(3));
+    let mut raw = RawV2::connect(&server);
+    raw.burst(&[(1, &hit)]); // memoizes `hit`
+    let from_worker = raw.burst(&[(2, &hit), (3, &miss)]);
+
+    let mut holder = Client::connect(server.local_addr(), Proto::V2).expect("v2");
+    holder
+        .send(
+            &Request::Characterize {
+                spec: ModuleSpec::new(ModuleKind::CsaMultiplier, 8usize),
+            },
+            None,
+        )
+        .expect("send");
+    holder.flush().expect("flush");
+    let patience = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while server.engine().stats().inflight != 1 {
+        assert!(std::time::Instant::now() < patience, "never characterized");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+
+    let inline = raw.burst(&[(2, &hit)]);
+    assert_eq!(
+        server.engine().stats().inflight,
+        1,
+        "a burst of memo hits is answered without the worker"
+    );
+    assert_eq!(inline[0], from_worker[0], "inline vs worker memo hit bytes");
+    let reply = &inline[0][wire::HEADER_LEN..];
+    assert_eq!(reply.len(), wire::ESTIMATE_REPLY_LEN);
+    assert_eq!(reply[wire::ESTIMATE_REPLY_SOURCE_OFFSET], wire::SOURCE_MEMO);
+
+    let mixed = raw.burst(&[(4, &hit), (5, &other_miss)]);
+    assert_eq!(
+        server.engine().stats().inflight,
+        0,
+        "a burst with a miss waits for the worker, hit included"
+    );
+    assert_eq!(mixed[0][wire::HEADER_LEN..], *reply);
+    assert!(matches!(
+        holder.recv().expect("characterize").response,
+        Response::Characterize(_)
+    ));
     server.shutdown();
 }
 

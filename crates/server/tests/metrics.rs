@@ -33,6 +33,8 @@ fn fresh_state() -> std::sync::MutexGuard<'static, ()> {
 const SLOW_CHARACTERIZE: &str =
     "{\"op\":\"characterize\",\"module\":\"csa_multiplier\",\"width\":8}";
 const STATS: &str = "{\"op\":\"stats\"}";
+/// A `stats` line whose own deadline expires 5 ms after it arrives.
+const STATS_WITHIN_5_MS: &str = "{\"op\":\"stats\",\"deadline_ms\":5}";
 
 fn slow_engine() -> EngineOptions {
     EngineOptions {
@@ -183,10 +185,13 @@ fn shed_counter_matches_overloaded_replies_on_the_wire() {
 #[test]
 fn timeout_counter_matches_timeout_replies_on_the_wire() {
     let _state = fresh_state();
+    // No server-wide deadline: it would also cover the slow request
+    // itself, which then expires whenever the worker is slow to pick it
+    // up. Only the requests queued behind it carry a (tight) deadline.
     let server = Server::start(
         ServerConfig::builder()
             .workers(1)
-            .deadline(Duration::from_millis(5))
+            .no_deadline()
             .engine(slow_engine())
             .build()
             .unwrap(),
@@ -194,9 +199,14 @@ fn timeout_counter_matches_timeout_replies_on_the_wire() {
     .expect("start");
     let mut client = Client::connect(&server);
     client.send(SLOW_CHARACTERIZE);
+    wait_until("the worker to pick up the characterization", |m| {
+        m.histograms
+            .get("server.queue.wait_ns")
+            .is_some_and(|h| h.count == 1)
+    });
     const QUEUED: usize = 4;
     for _ in 0..QUEUED {
-        client.send(STATS);
+        client.send(STATS_WITHIN_5_MS);
     }
     let replies: Vec<String> = (0..=QUEUED).map(|_| client.recv()).collect();
     assert!(

@@ -56,9 +56,9 @@ fn estimate(width: usize) -> Request {
 
 #[test]
 fn v2_round_trips_every_opcode() {
-    // One worker: the reply memo is per-worker thread state, so the
-    // repeated estimate below must land on the worker that cached it.
-    let server = Server::start(quick_config().workers(1).build().unwrap()).expect("start");
+    // The reply memo is per-server state: whichever thread answers the
+    // repeated estimate below sees what the first one cached.
+    let server = Server::start(quick_config().build().unwrap()).expect("start");
     let mut client = Client::connect(server.local_addr(), Proto::V2).expect("connect");
 
     let reply = client.call(&Request::Ping, None).expect("ping");
@@ -92,7 +92,7 @@ fn v2_round_trips_every_opcode() {
         other => panic!("unexpected reply {other:?}"),
     }
 
-    // A repeated estimate short-circuits through the per-worker reply
+    // A repeated estimate short-circuits through the per-server reply
     // memo, labeled as such.
     let reply = client.call(&estimate(6), None).expect("estimate");
     match reply.response {

@@ -169,10 +169,14 @@ fn saturated_queue_sheds_with_structured_overloaded_replies() {
 
 #[test]
 fn queued_requests_past_their_deadline_reply_timeout() {
+    // The server deadline also covers the slow request, so it must be
+    // wide enough for the lone worker to pick that up on a loaded host,
+    // yet well short of the characterization the other requests queue
+    // behind.
     let server = Server::start(
         quick_config()
             .workers(1)
-            .deadline(Duration::from_millis(5))
+            .deadline(Duration::from_millis(50))
             .engine(slow_engine())
             .build()
             .unwrap(),
@@ -180,6 +184,14 @@ fn queued_requests_past_their_deadline_reply_timeout() {
     .expect("start");
     let mut client = Client::connect(&server);
     client.send(SLOW_CHARACTERIZE);
+    let picked_up = std::time::Instant::now() + Duration::from_secs(60);
+    while server.engine().stats().inflight == 0 {
+        assert!(
+            std::time::Instant::now() < picked_up,
+            "the worker never started the characterization"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     for _ in 0..3 {
         client.send(STATS);
     }
